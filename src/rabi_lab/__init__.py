@@ -12,14 +12,12 @@ from .eigensolve import (
     Spectrum,
     eig_sym_dense,
     eig_sym_tridiag,
-    refine_rayleigh,
     residual_report,
 )
 from .model import (
     ModelParams,
     Truncation,
     build_hamiltonian,
-    build_parity,
     critical_coupling,
     parity_diagonal,
     sector_hamiltonian,
@@ -27,13 +25,10 @@ from .model import (
 )
 from .parity import (
     FockPopulations,
-    OnsetResult,
     PairParity,
     fock_populations,
-    onset_coupling,
     pair_report,
     parity_expectation,
-    sector_weights,
     subspace_parity_trace,
 )
 from .position import (
@@ -44,9 +39,7 @@ from .position import (
     symmetry_defect,
 )
 from .sweeps import (
-    SentinelResult,
     SweepResult,
-    convergence_sentinel,
     convergence_sweep,
     coupling_sweep,
     grid_values,
@@ -60,11 +53,9 @@ __version__ = "0.1.0"
 __all__ = [
     "FockPopulations",
     "ModelParams",
-    "OnsetResult",
     "PairParity",
     "PositionGrid",
     "ResidualReport",
-    "SentinelResult",
     "SolverError",
     "Spectrum",
     "SweepResult",
@@ -72,8 +63,6 @@ __all__ = [
     "TwoComponentWavefunction",
     "__version__",
     "build_hamiltonian",
-    "build_parity",
-    "convergence_sentinel",
     "convergence_sweep",
     "coupling_sweep",
     "critical_coupling",
@@ -82,16 +71,13 @@ __all__ = [
     "fock_populations",
     "grid_values",
     "hermite_basis",
-    "onset_coupling",
     "pair_report",
     "parity_diagonal",
     "parity_expectation",
     "phase_boundary_scan",
     "position_wavefunction",
-    "refine_rayleigh",
     "residual_report",
     "sector_hamiltonian",
-    "sector_weights",
     "shifted_energy",
     "solve_point",
     "subspace_parity_trace",

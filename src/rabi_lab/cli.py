@@ -29,7 +29,7 @@ from .eigensolve import (
 )
 from .io import write_manifest, write_table
 from .model import ModelParams, Truncation, critical_coupling
-from .parity import DEFAULT_EPS_PAR, pair_report, parity_expectation
+from .parity import DEFAULT_EPS_PAR, parity_expectation
 from .position import (
     DEFAULT_STEP,
     PositionGrid,
@@ -89,8 +89,6 @@ class ResolvedConfig:
             elif isinstance(value, float):
                 # repr is the shortest exact round-trip form
                 out[key] = repr(value)
-            elif isinstance(value, int):
-                out[key] = str(value)
             else:
                 out[key] = str(value)
         return out
@@ -136,122 +134,80 @@ def _parse_str(text: str, key: str) -> str:
     return text
 
 
-# key -> parser(text, key)
-_PARSERS = {
-    "delta": _parse_float,
-    "g": _parse_scalar_or_range,
-    "g_over_gc": _parse_scalar_or_range,
-    "n_trunc": _parse_int,
-    "levels": _parse_int,
-    "eps_par": _parse_float,
-    "truncs": _parse_int_list,
-    "ref": _parse_int,
-    "delta_grid": _parse_scalar_or_range,
-    "pairs": _parse_int_list,
-    "xi_max": _parse_float,
-    "xi_step": _parse_float,
-    "workers": _parse_int,
-    "out": _parse_str,
-    "format": _parse_str,
+# key -> (parser(text, key), help text)
+_OPTIONS = {
+    "delta": (_parse_float, "level splitting (dimensionless, >= 0)"),
+    "g": (_parse_scalar_or_range, "coupling, absolute units; scalar or start:stop:step"),
+    "g_over_gc": (_parse_scalar_or_range, "coupling in units of g_c; scalar or start:stop:step"),
+    "n_trunc": (_parse_int, "Fock-space cutoff (photon numbers 0 .. n_trunc-1)"),
+    "levels": (_parse_int, "number of lowest levels to report"),
+    "eps_par": (_parse_float, "irregularity threshold on 1 - |<P>|"),
+    "truncs": (_parse_int_list, "comma-separated candidate truncations"),
+    "ref": (_parse_int, "reference truncation for convergence differences"),
+    "delta_grid": (_parse_scalar_or_range, "delta range start:stop:step"),
+    "pairs": (_parse_int_list, "comma-separated pair indices"),
+    "xi_max": (_parse_float, "half-width of the position grid (default: fits the coupling)"),
+    "xi_step": (_parse_float, "position grid step"),
+    "workers": (_parse_int, "process count for grid points (0 = cpu count)"),
+    "out": (_parse_str, "output directory for tables and manifest"),
+    "format": (_parse_str, "table format: csv or json"),
 }
 
-_DEFAULTS = {
-    "spectrum": {"n_trunc": 1000, "levels": 8, "eps_par": DEFAULT_EPS_PAR, "format": "csv"},
-    "parity": {
+# command -> {valid option: built-in default}, in --help order
+_COMMANDS = {
+    "spectrum": {
+        "delta": None,
+        "g": None,
+        "g_over_gc": None,
         "n_trunc": 1000,
         "levels": 8,
         "eps_par": DEFAULT_EPS_PAR,
+        "out": None,
+        "format": "csv",
+    },
+    "parity": {
+        "delta": None,
+        "g": None,
+        "g_over_gc": None,
+        "n_trunc": 1000,
+        "levels": 8,
+        "eps_par": DEFAULT_EPS_PAR,
+        "out": None,
         "format": "csv",
         "workers": None,
     },
     "wavefunction": {
+        "delta": None,
+        "g": None,
+        "g_over_gc": None,
         "n_trunc": 1000,
         "levels": 2,
+        "xi_max": None,
         "xi_step": DEFAULT_STEP,
+        "out": None,
         "format": "csv",
     },
     "converge": {
-        "n_trunc": None,
+        "delta": None,
+        "g": None,
         "g_over_gc": GridSpec(0.0, 6.0, 0.05),
         "truncs": [200, 400, 1000],
         "ref": 2000,
         "levels": 8,
+        "out": None,
         "format": "csv",
         "workers": None,
     },
     "phase-diagram": {
-        "g_over_gc": GridSpec(0.0, 2.5, 0.01),
+        "delta_grid": None,
         "pairs": [0, 1],
+        "g_over_gc": GridSpec(0.0, 2.5, 0.01),
         "n_trunc": 1000,
         "eps_par": DEFAULT_EPS_PAR,
+        "out": None,
         "format": "csv",
         "workers": None,
     },
-}
-
-_COMMAND_KEYS = {
-    "spectrum": ("delta", "g", "g_over_gc", "n_trunc", "levels", "eps_par", "out", "format"),
-    "parity": (
-        "delta",
-        "g",
-        "g_over_gc",
-        "n_trunc",
-        "levels",
-        "eps_par",
-        "out",
-        "format",
-        "workers",
-    ),
-    "wavefunction": (
-        "delta",
-        "g",
-        "g_over_gc",
-        "n_trunc",
-        "levels",
-        "xi_max",
-        "xi_step",
-        "out",
-        "format",
-    ),
-    "converge": (
-        "delta",
-        "g",
-        "g_over_gc",
-        "truncs",
-        "ref",
-        "levels",
-        "out",
-        "format",
-        "workers",
-    ),
-    "phase-diagram": (
-        "delta_grid",
-        "pairs",
-        "g_over_gc",
-        "n_trunc",
-        "eps_par",
-        "out",
-        "format",
-        "workers",
-    ),
-}
-
-_HELP = {
-    "delta": "level splitting (dimensionless, >= 0)",
-    "g": "coupling, absolute units; scalar or start:stop:step",
-    "g_over_gc": "coupling in units of g_c; scalar or start:stop:step",
-    "n_trunc": "Fock-space cutoff (photon numbers 0 .. n_trunc-1)",
-    "levels": "number of lowest levels to report",
-    "eps_par": "irregularity threshold on 1 - |<P>|",
-    "truncs": "comma-separated candidate truncations",
-    "ref": "reference truncation for convergence differences",
-    "delta_grid": "delta range start:stop:step",
-    "pairs": "comma-separated pair indices",
-    "xi_max": "half-width of the position grid (default: fits the coupling)",
-    "xi_step": "position grid step",
-    "workers": "process count for grid points (0 = cpu count)",
-    "out": "output directory for tables and manifest",
-    "format": "table format: csv or json",
 }
 
 
@@ -262,11 +218,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for command, keys in _COMMAND_KEYS.items():
+    for command, keys in _COMMANDS.items():
         p = sub.add_parser(command, help=f"{command} job")
         p.add_argument("--config", default=None, help="flat key=value config file")
         for key in keys:
-            p.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None, help=_HELP[key])
+            p.add_argument(
+                f"--{key.replace('_', '-')}", dest=key, default=None, help=_OPTIONS[key][1]
+            )
     return parser
 
 
@@ -306,23 +264,24 @@ def parse_config(argv: Optional[list] = None) -> ResolvedConfig:
         parser.print_usage(sys.stderr)
         raise ConfigError("missing command")
     command = args.command
-    keys = _COMMAND_KEYS[command]
+    defaults = _COMMANDS[command]
     file_values = _read_config_file(args.config) if args.config else {}
     for key in file_values:
-        if key not in keys:
+        if key not in defaults:
             raise ConfigError(f"config file key {key!r} is not valid for {command}")
     values: dict = {}
     provenance: dict = {}
-    for key in keys:
+    for key, default in defaults.items():
+        parse = _OPTIONS[key][0]
         flag_raw = getattr(args, key)
         if flag_raw is not None:
-            values[key] = _PARSERS[key](flag_raw, key)
+            values[key] = parse(flag_raw, key)
             provenance[key] = "flag"
         elif key in file_values:
-            values[key] = _PARSERS[key](file_values[key], key)
+            values[key] = parse(file_values[key], key)
             provenance[key] = "file"
         else:
-            values[key] = _DEFAULTS[command].get(key)
+            values[key] = default
             provenance[key] = "default"
     _validate(command, values, provenance)
     return ResolvedConfig(command=command, values=values, provenance=provenance)
@@ -438,17 +397,37 @@ def _ext(values: dict) -> str:
     return "csv" if values.get("format", "csv") == "csv" else "json"
 
 
-def _run_point_table(cfg: ResolvedConfig, out_dir: Path, name: str, t0: float) -> int:
+def _run_sweep(cfg: ResolvedConfig, out_dir: Path, t0: float) -> int:
+    """Table commands: one sweep, one table, sentinel failures from its meta."""
     values = cfg.values
-    kwargs, _ = _coupling_grid(values)
-    result = coupling_sweep(
-        values["delta"],
-        n_levels=values["levels"],
-        trunc=Truncation(values["n_trunc"]),
-        eps_par=values["eps_par"],
-        workers=values.get("workers"),
-        **kwargs,
-    )
+    if cfg.command == "phase-diagram":
+        result = phase_boundary_scan(
+            values["delta_grid"].values(),
+            values["pairs"],
+            ratio_grid=values["g_over_gc"].values(),
+            eps_par=values["eps_par"],
+            trunc=Truncation(values["n_trunc"]),
+            workers=values.get("workers"),
+        )
+    elif cfg.command == "converge":
+        result = convergence_sweep(
+            values["delta"],
+            trunc_list=values["truncs"],
+            ref_trunc=values["ref"],
+            n_levels=values["levels"],
+            workers=values.get("workers"),
+            **_coupling_grid(values)[0],
+        )
+    else:
+        result = coupling_sweep(
+            values["delta"],
+            n_levels=values["levels"],
+            trunc=Truncation(values["n_trunc"]),
+            eps_par=values["eps_par"],
+            workers=values.get("workers"),
+            **_coupling_grid(values)[0],
+        )
+    name = cfg.command.replace("-", "_")
     entry = write_table(
         out_dir / f"{name}.{_ext(values)}", result.columns, result.rows, values["format"]
     )
@@ -514,57 +493,14 @@ def _run_wavefunction(cfg: ResolvedConfig, out_dir: Path, t0: float) -> int:
     )
 
 
-def _run_converge(cfg: ResolvedConfig, out_dir: Path, t0: float) -> int:
-    values = cfg.values
-    kwargs, _ = _coupling_grid(values)
-    result = convergence_sweep(
-        values["delta"],
-        trunc_list=values["truncs"],
-        ref_trunc=values["ref"],
-        n_levels=values["levels"],
-        workers=values.get("workers"),
-        **kwargs,
-    )
-    entry = write_table(
-        out_dir / f"converge.{_ext(values)}", result.columns, result.rows, values["format"]
-    )
-    return _finish(
-        cfg, out_dir, [entry], {"sweep": result.meta}, result.meta["sentinel_failures"], t0
-    )
-
-
-def _run_phase_diagram(cfg: ResolvedConfig, out_dir: Path, t0: float) -> int:
-    values = cfg.values
-    result = phase_boundary_scan(
-        values["delta_grid"].values(),
-        values["pairs"],
-        ratio_grid=values["g_over_gc"].values(),
-        eps_par=values["eps_par"],
-        trunc=Truncation(values["n_trunc"]),
-        workers=values.get("workers"),
-    )
-    entry = write_table(
-        out_dir / f"phase_diagram.{_ext(values)}", result.columns, result.rows, values["format"]
-    )
-    return _finish(cfg, out_dir, [entry], {"sweep": result.meta}, [], t0)
-
-
 def run_job(cfg: ResolvedConfig) -> int:
     """Execute one resolved job; returns the process exit code."""
     t0 = time.perf_counter()
     out_dir = Path(cfg.values["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    if cfg.command == "spectrum":
-        return _run_point_table(cfg, out_dir, "spectrum", t0)
-    if cfg.command == "parity":
-        return _run_point_table(cfg, out_dir, "parity", t0)
     if cfg.command == "wavefunction":
         return _run_wavefunction(cfg, out_dir, t0)
-    if cfg.command == "converge":
-        return _run_converge(cfg, out_dir, t0)
-    if cfg.command == "phase-diagram":
-        return _run_phase_diagram(cfg, out_dir, t0)
-    raise ConfigError(f"unknown command {cfg.command!r}")  # pragma: no cover
+    return _run_sweep(cfg, out_dir, t0)
 
 
 def main(argv: Optional[list] = None) -> int:

@@ -15,8 +15,7 @@ whatever mixture the solver produced; no re-rotation is applied here.
 from __future__ import annotations
 
 import time
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -33,7 +32,6 @@ __all__ = [
     "Spectrum",
     "eig_sym_dense",
     "eig_sym_tridiag",
-    "refine_rayleigh",
     "residual_report",
 ]
 
@@ -59,7 +57,6 @@ class SolveMeta:
     k: int
     scale: float
     wall_time_s: float
-    context: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -112,7 +109,6 @@ def _finalize(
     scale: float,
     path: str,
     t0: float,
-    context: Optional[dict] = None,
 ) -> Spectrum:
     norms = np.linalg.norm(v, axis=0)
     bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOL)
@@ -136,7 +132,6 @@ def _finalize(
         k=len(w),
         scale=scale,
         wall_time_s=time.perf_counter() - t0,
-        context=dict(context or {}),
     )
     return Spectrum(
         eigenvalues=w,
@@ -255,58 +250,4 @@ def residual_report(
         residual_tol=tol,
         failing_levels=tuple(int(i) for i in failing),
         passed=bool(passed),
-    )
-
-
-def refine_rayleigh(matrix: np.ndarray, spectrum: Spectrum, sweeps: int = 1) -> Spectrum:
-    """Optional inverse-iteration polish with Rayleigh-quotient shifts.
-
-    Keeps a refined eigenpair only when its residual actually improved, so
-    the call never degrades a spectrum.  Intended for tightening pairs
-    near degeneracy; the default pipeline does not apply it.
-    """
-    m = np.asarray(matrix, dtype=float)
-    w = spectrum.eigenvalues.copy()
-    v = spectrum.eigenvectors.copy()
-    res = spectrum.residual_norms.copy()
-    scale = spectrum.meta.scale
-    eye = np.eye(m.shape[0])
-    for _ in range(max(0, sweeps)):
-        for i in range(len(w)):
-            shift = w[i]
-            # the shifted system is near-singular on purpose; silence the
-            # conditioning warning instead of worrying every caller
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                try:
-                    y = scipy.linalg.solve(m - shift * eye, v[:, i], assume_a="sym")
-                except scipy.linalg.LinAlgError:
-                    # exactly singular shift: nudge by one ulp of the scale
-                    y = scipy.linalg.solve(
-                        m - (shift + 1e-15 * scale) * eye, v[:, i], assume_a="sym"
-                    )
-            norm = np.linalg.norm(y)
-            if not np.isfinite(norm) or norm == 0.0:
-                continue
-            cand = y / norm
-            lam = float(cand @ (m @ cand))
-            r = float(np.linalg.norm(m @ cand - lam * cand))
-            if r < res[i]:
-                w[i], v[:, i], res[i] = lam, cand, r
-    order = np.argsort(w, kind="stable")
-    w, v, res = w[order], v[:, order], res[order]
-    meta = SolveMeta(
-        path=spectrum.meta.path + "+rayleigh",
-        dim=spectrum.meta.dim,
-        k=spectrum.meta.k,
-        scale=scale,
-        wall_time_s=spectrum.meta.wall_time_s,
-        context=dict(spectrum.meta.context),
-    )
-    return Spectrum(
-        eigenvalues=w,
-        eigenvectors=v,
-        residual_norms=res,
-        near_degenerate=np.diff(w) < DEGENERACY_RTOL * scale,
-        meta=meta,
     )

@@ -48,7 +48,6 @@ __all__ = [
     "basis_index",
     "basis_labels",
     "build_hamiltonian",
-    "build_parity",
     "critical_coupling",
     "parity_diagonal",
     "sector_hamiltonian",
@@ -138,11 +137,6 @@ def parity_diagonal(trunc: Truncation) -> np.ndarray:
     """Diagonal of the parity operator: s * (-1)**n per basis state."""
     n, s = basis_labels(trunc)
     return (s * (1 - 2 * (n % 2))).astype(float)
-
-
-def build_parity(trunc: Truncation) -> np.ndarray:
-    """Parity operator as a dense diagonal matrix with entries +1/-1."""
-    return np.diag(parity_diagonal(trunc))
 
 
 def build_hamiltonian(params: ModelParams, trunc: Truncation) -> np.ndarray:

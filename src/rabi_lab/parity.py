@@ -1,4 +1,4 @@
-"""Per-eigenstate parity diagnostics and the irregularity onset locator.
+"""Per-eigenstate parity diagnostics of a solved spectrum.
 
 The conserved parity P is diagonal in the working basis, so expectation
 values reduce to sign-weighted sums of squared amplitudes.  Eigenvalues
@@ -10,40 +10,28 @@ basis independent and stays at zero through that regime, which is the
 invariant worth testing against.
 
 A state is called regular when |<P>| >= 1 - eps_par for a configurable
-threshold eps_par; the onset coupling of a pair is the smallest grid
-point at which either member turns irregular, reported together with the
-grid resolution (no root polishing between grid points).
+threshold eps_par.  The onset coupling of a pair, the smallest grid point
+at which either member turns irregular, is located from these reports by
+``rabi_lab.sweeps.phase_boundary_scan``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
-from .eigensolve import Spectrum, eig_sym_dense
-from .model import (
-    ModelParams,
-    Truncation,
-    build_hamiltonian,
-    critical_coupling,
-    parity_diagonal,
-    shifted_energy,
-)
+from .eigensolve import Spectrum
+from .model import ModelParams, Truncation, parity_diagonal, shifted_energy
 
 __all__ = [
     "DEFAULT_EPS_PAR",
     "STATE_NORM_TOL",
     "FockPopulations",
-    "OnsetResult",
     "PairParity",
     "fock_populations",
-    "onset_coupling",
     "pair_report",
     "parity_expectation",
-    "sector_weights",
     "subspace_parity_trace",
 ]
 
@@ -66,16 +54,6 @@ def parity_expectation(state, trunc: Truncation) -> float:
     v = _checked_state(state, trunc)
     value = float(np.dot(parity_diagonal(trunc), v * v))
     return max(-1.0, min(1.0, value))
-
-
-def sector_weights(state, trunc: Truncation) -> tuple[float, float]:
-    """Weights (w_plus, w_minus) carried by the two parity sectors."""
-    v = _checked_state(state, trunc)
-    mask = parity_diagonal(trunc) > 0
-    v2 = v * v
-    w_plus = float(v2[mask].sum())
-    w_minus = float(v2[~mask].sum())
-    return w_plus, w_minus
 
 
 def subspace_parity_trace(vectors: np.ndarray, trunc: Truncation) -> float:
@@ -170,101 +148,3 @@ def pair_report(
             )
         )
     return out
-
-
-@dataclass(frozen=True)
-class OnsetResult:
-    """First grid coupling at which a pair turns irregular."""
-
-    pair_index: int
-    g_onset: float
-    g_over_gc: float
-    grid_index: int
-    grid_step: float
-    eps_par: float
-    min_parity_at_onset: float
-
-
-def min_pair_parity_curves(
-    delta: float,
-    g_grid: Sequence[float],
-    pair_indices: Sequence[int],
-    trunc: Truncation,
-    eps_par: float = DEFAULT_EPS_PAR,
-    stop_when_all_found: bool = True,
-) -> dict[int, list[float]]:
-    """min(|<P>|) per pair along a coupling grid, one solve per point.
-
-    Shared workhorse for onset_coupling and the phase-boundary scan.  When
-    ``stop_when_all_found`` is set the scan ends at the first grid point
-    where every requested pair has already turned irregular; the returned
-    curves then cover only the visited prefix of the grid.
-    """
-    pairs = sorted(set(int(p) for p in pair_indices))
-    if not pairs or pairs[0] < 0:
-        raise ValueError(f"pair indices must be non-negative, got {pair_indices!r}")
-    grid = np.asarray(g_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("g_grid must be a non-empty 1-d sequence")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("g_grid must be strictly increasing")
-    if grid[0] < 0 or not np.isfinite(grid).all():
-        raise ValueError("g_grid values must be finite and >= 0")
-    k = 2 * pairs[-1] + 2
-    if k > trunc.dim:
-        raise ValueError(f"pair {pairs[-1]} needs {k} levels but dimension is {trunc.dim}")
-    threshold = 1.0 - eps_par
-    curves: dict[int, list[float]] = {p: [] for p in pairs}
-    found = {p: False for p in pairs}
-    for g in grid:
-        spectrum = eig_sym_dense(build_hamiltonian(ModelParams(delta, float(g)), trunc), k)
-        for p in pairs:
-            v = min(
-                abs(parity_expectation(spectrum.eigenvectors[:, 2 * p], trunc)),
-                abs(parity_expectation(spectrum.eigenvectors[:, 2 * p + 1], trunc)),
-            )
-            curves[p].append(v)
-            if v < threshold:
-                found[p] = True
-        if stop_when_all_found and all(found.values()):
-            break
-    return curves
-
-
-def onset_coupling(
-    delta: float,
-    pair_index: int,
-    g_grid: Sequence[float],
-    eps_par: float = DEFAULT_EPS_PAR,
-    trunc: Truncation = Truncation(1000),
-) -> Optional[OnsetResult]:
-    """Smallest grid coupling where pair ``pair_index`` turns irregular.
-
-    Scans the grid in ascending order and stops at the first point where
-    min(|<P>|) over the two pair members drops below 1 - eps_par; returns
-    None when the whole grid stays regular.  Resolution is the grid step;
-    no interpolation or bisection is attempted between points.
-    """
-    if not 0.0 < eps_par < 1.0:
-        raise ValueError(f"eps_par must be in (0, 1), got {eps_par}")
-    curve = min_pair_parity_curves(
-        delta, g_grid, [pair_index], trunc, eps_par, stop_when_all_found=True
-    )[int(pair_index)]
-    grid = np.asarray(g_grid, dtype=float)
-    threshold = 1.0 - eps_par
-    for i, value in enumerate(curve):
-        if value < threshold:
-            g = float(grid[i])
-            step = float(grid[i] - grid[i - 1]) if i > 0 else (
-                float(grid[1] - grid[0]) if grid.size > 1 else math.nan
-            )
-            return OnsetResult(
-                pair_index=int(pair_index),
-                g_onset=g,
-                g_over_gc=g / critical_coupling(delta),
-                grid_index=i,
-                grid_step=step,
-                eps_par=float(eps_par),
-                min_parity_at_onset=float(value),
-            )
-    return None

@@ -129,17 +129,6 @@ class TwoComponentWavefunction:
         density = self.psi_plus**2 + self.psi_minus**2
         return float(np.trapezoid(density, dx=self.grid.step))
 
-    def density(self) -> np.ndarray:
-        return self.psi_plus**2 + self.psi_minus**2
-
-    def components_z(self) -> tuple[np.ndarray, np.ndarray]:
-        """Same wavefunction re-expressed in the spin-z basis."""
-        inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        return (
-            (self.psi_plus + self.psi_minus) * inv_sqrt2,
-            (self.psi_plus - self.psi_minus) * inv_sqrt2,
-        )
-
 
 def position_wavefunction(
     state, grid: PositionGrid, trunc: Truncation

@@ -11,6 +11,11 @@ population of every retained state beyond 0.9 * n_trunc must stay below
 SENTINEL_THRESHOLD.  Failing points are kept in the output with their
 sentinel column cleared, never dropped, and the indices are listed in the
 result metadata so callers can escalate.
+
+Both dense sweeps, the coupling sweep and the phase-boundary scan, run
+each grid point through ``_dense_point`` (solve, sentinel, pair report).
+The irregularity onset of a pair, the first grid coupling at which either
+member has |<P>| < 1 - eps_par, is located by ``phase_boundary_scan``.
 """
 
 from __future__ import annotations
@@ -32,23 +37,15 @@ from .model import (
     build_hamiltonian,
     critical_coupling,
     sector_hamiltonian,
-    shifted_energy,
 )
-from .parity import (
-    DEFAULT_EPS_PAR,
-    fock_populations,
-    min_pair_parity_curves,
-    pair_report,
-)
+from .parity import DEFAULT_EPS_PAR, PairParity, pair_report
 
 __all__ = [
     "PARITY_COLUMNS",
     "CONVERGENCE_COLUMNS",
     "PHASE_COLUMNS",
     "SENTINEL_THRESHOLD",
-    "SentinelResult",
     "SweepResult",
-    "convergence_sentinel",
     "convergence_sweep",
     "coupling_sweep",
     "grid_values",
@@ -104,15 +101,6 @@ class SweepResult:
     columns: tuple[str, ...]
     rows: list[tuple]
     meta: dict
-
-
-@dataclass(frozen=True)
-class SentinelResult:
-    passed: bool
-    max_tail_population: float
-    threshold: float
-    tail_start: int
-    n_trunc: int
 
 
 def grid_values(start: float, stop: float, step: float) -> np.ndarray:
@@ -172,21 +160,6 @@ def solve_point(params: ModelParams, trunc: Truncation, n_levels: int) -> Spectr
     return eig_sym_dense(build_hamiltonian(params, trunc), n_levels)
 
 
-def convergence_sentinel(
-    params: ModelParams, trunc: Truncation, n_levels: int = 8
-) -> SentinelResult:
-    """Solve one point and check that no retained state leaks into the tail."""
-    spectrum = solve_point(params, trunc, n_levels)
-    worst = tail_population(spectrum.eigenvectors, trunc)
-    return SentinelResult(
-        passed=worst < SENTINEL_THRESHOLD,
-        max_tail_population=worst,
-        threshold=SENTINEL_THRESHOLD,
-        tail_start=tail_start_index(trunc.n_trunc),
-        n_trunc=trunc.n_trunc,
-    )
-
-
 def resolve_workers(workers: Optional[int] = None) -> int:
     """Effective worker count: requested (default 1) capped by RABI_LAB_THREADS."""
     if workers is None:
@@ -219,36 +192,87 @@ def _run_jobs(worker, jobs: list, workers: int) -> list:
         return list(pool.map(worker, jobs, chunksize=1))
 
 
-def _coupling_point(job: tuple) -> tuple[list[tuple], bool]:
-    index, delta, g, gc, n_trunc, n_levels, eps_par = job
+def _sweep(
+    columns: tuple, worker, jobs: list, workers: Optional[int], t0: float, meta: dict
+) -> SweepResult:
+    """Run the jobs and join their (rows, failure or None) results in grid order."""
+    effective = resolve_workers(workers)
+    results = _run_jobs(worker, jobs, effective)
+    meta.update(
+        workers=effective,
+        sentinel_failures=[bad for _, bad in results if bad is not None],
+        wall_time_s=time.perf_counter() - t0,
+    )
+    return SweepResult(
+        columns=columns, rows=[row for rows, _ in results for row in rows], meta=meta
+    )
+
+
+def _coupling_axis(
+    delta: float, g_grid: Optional[Sequence[float]], ratio_grid: Optional[Sequence[float]]
+) -> tuple[np.ndarray, dict]:
+    """Absolute coupling grid from exactly one of the two axes, plus its meta."""
+    if (g_grid is None) == (ratio_grid is None):
+        raise ValueError("provide exactly one of g_grid or ratio_grid")
+    gc = critical_coupling(delta)
+    if ratio_grid is not None:
+        grid = np.asarray(ratio_grid, dtype=float) * gc
+    else:
+        grid = np.asarray(g_grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("coupling grid must be a non-empty 1-d sequence")
+    if not np.isfinite(grid).all() or (grid < 0).any():
+        raise ValueError("coupling grid values must be finite and >= 0")
+    if (np.diff(grid) <= 0).any():
+        raise ValueError("coupling grid must be strictly increasing")
+    meta = {
+        "delta": float(delta),
+        "g_c": gc,
+        "grid_points": len(grid),
+        "g_first": float(grid[0]),
+        "g_last": float(grid[-1]),
+    }
+    return grid, meta
+
+
+def _dense_point(
+    index: int, delta: float, g: float, trunc: Truncation, n_levels: int, eps_par: float
+) -> tuple[list[PairParity], bool]:
+    """Dense solve, tail sentinel and pair report of one grid point.
+
+    Returns the pair report and whether the sentinel passed.
+    """
     params = ModelParams(delta, g)
-    trunc = Truncation(n_trunc)
     try:
         spectrum = solve_point(params, trunc, n_levels)
     except SolverError as exc:
         raise SolverError(f"grid index {index} (delta={delta!r}, g={g!r}): {exc}") from exc
     ok = tail_population(spectrum.eigenvectors, trunc) < SENTINEL_THRESHOLD
-    pairs = pair_report(spectrum, params, trunc, eps_par)
-    rows = []
-    for pair in pairs:
-        for side in (0, 1):
-            rows.append(
-                (
-                    g,
-                    g / gc,
-                    2 * pair.pair_index + side,
-                    pair.energies[side],
-                    pair.energies_shifted[side],
-                    pair.parity[side],
-                    pair.pair_index,
-                    pair.gap_shifted,
-                    pair.parity_sum,
-                    pair.p_even[side],
-                    pair.p_odd[side],
-                    int(ok),
-                )
-            )
-    return rows, ok
+    return pair_report(spectrum, params, trunc, eps_par), ok
+
+
+def _coupling_point(job: tuple) -> tuple[list[tuple], Optional[int]]:
+    index, delta, g, gc, n_trunc, n_levels, eps_par = job
+    pairs, ok = _dense_point(index, delta, g, Truncation(n_trunc), n_levels, eps_par)
+    rows = [
+        (
+            g,
+            g / gc,
+            2 * pair.pair_index + side,
+            pair.energies[side],
+            pair.energies_shifted[side],
+            pair.parity[side],
+            pair.pair_index,
+            pair.gap_shifted,
+            pair.parity_sum,
+            pair.p_even[side],
+            pair.p_odd[side],
+            int(ok),
+        )
+        for pair in pairs
+        for side in (0, 1)
+    ]
+    return rows, None if ok else index
 
 
 def coupling_sweep(
@@ -268,49 +292,17 @@ def coupling_sweep(
     parity table layout.
     """
     t0 = time.perf_counter()
-    if (g_grid is None) == (ratio_grid is None):
-        raise ValueError("provide exactly one of g_grid or ratio_grid")
-    gc = critical_coupling(delta)
-    if ratio_grid is not None:
-        grid = np.asarray(ratio_grid, dtype=float) * gc
-    else:
-        grid = np.asarray(g_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("coupling grid must be a non-empty 1-d sequence")
-    if not np.isfinite(grid).all() or (grid < 0).any():
-        raise ValueError("coupling grid values must be finite and >= 0")
+    grid, meta = _coupling_axis(delta, g_grid, ratio_grid)
     if n_levels % 2 or n_levels < 2:
         raise ValueError(f"n_levels must be even and >= 2, got {n_levels}")
-    effective = resolve_workers(workers)
     jobs = [
-        (i, float(delta), float(g), gc, trunc.n_trunc, n_levels, float(eps_par))
+        (i, float(delta), float(g), meta["g_c"], trunc.n_trunc, n_levels, float(eps_par))
         for i, g in enumerate(grid)
     ]
-    results = _run_jobs(_coupling_point, jobs, effective)
-    rows: list[tuple] = []
-    failures = []
-    for i, (block, ok) in enumerate(results):
-        rows.extend(block)
-        if not ok:
-            failures.append(i)
-    return SweepResult(
-        columns=PARITY_COLUMNS,
-        rows=rows,
-        meta={
-            "kind": "coupling_sweep",
-            "delta": float(delta),
-            "g_c": gc,
-            "grid_points": len(grid),
-            "g_first": float(grid[0]),
-            "g_last": float(grid[-1]),
-            "n_trunc": trunc.n_trunc,
-            "n_levels": n_levels,
-            "eps_par": float(eps_par),
-            "workers": effective,
-            "sentinel_failures": failures,
-            "wall_time_s": time.perf_counter() - t0,
-        },
+    meta.update(
+        kind="coupling_sweep", n_trunc=trunc.n_trunc, n_levels=n_levels, eps_par=float(eps_par)
     )
+    return _sweep(PARITY_COLUMNS, _coupling_point, jobs, workers, t0, meta)
 
 
 def _sector_first_index(vector: np.ndarray, sector: int) -> int:
@@ -350,7 +342,7 @@ def merged_sector_levels(
     return energies, max(tails)
 
 
-def _convergence_point(job: tuple) -> tuple[list[tuple], list[int]]:
+def _convergence_point(job: tuple) -> tuple[list[tuple], Optional[dict]]:
     index, delta, g, gc, trunc_list, ref_trunc, n_levels = job
     params = ModelParams(delta, g)
     try:
@@ -380,7 +372,7 @@ def _convergence_point(job: tuple) -> tuple[list[tuple], list[int]]:
         raise SolverError(f"grid index {index} (delta={delta!r}, g={g!r}): {exc}") from exc
     if ref_tail >= SENTINEL_THRESHOLD:
         bad.append(ref_trunc)
-    return rows, bad
+    return rows, {"grid_index": index, "n_trunc": sorted(set(bad))} if bad else None
 
 
 def convergence_sweep(
@@ -400,8 +392,7 @@ def convergence_sweep(
     solver.  The reference must not be smaller than any candidate.
     """
     t0 = time.perf_counter()
-    if (g_grid is None) == (ratio_grid is None):
-        raise ValueError("provide exactly one of g_grid or ratio_grid")
+    grid, meta = _coupling_axis(delta, g_grid, ratio_grid)
     trunc_list = [int(n) for n in trunc_list]
     if not trunc_list:
         raise ValueError("trunc_list must not be empty")
@@ -410,73 +401,43 @@ def convergence_sweep(
         raise ValueError(
             f"reference truncation {ref_trunc} is below max candidate {max(trunc_list)}"
         )
-    gc = critical_coupling(delta)
-    if ratio_grid is not None:
-        grid = np.asarray(ratio_grid, dtype=float) * gc
-    else:
-        grid = np.asarray(g_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("coupling grid must be a non-empty 1-d sequence")
-    if not np.isfinite(grid).all() or (grid < 0).any():
-        raise ValueError("coupling grid values must be finite and >= 0")
-    effective = resolve_workers(workers)
     jobs = [
-        (i, float(delta), float(g), gc, tuple(trunc_list), ref_trunc, int(n_levels))
+        (i, float(delta), float(g), meta["g_c"], tuple(trunc_list), ref_trunc, int(n_levels))
         for i, g in enumerate(grid)
     ]
-    results = _run_jobs(_convergence_point, jobs, effective)
-    rows: list[tuple] = []
-    failures = []
-    for i, (block, bad) in enumerate(results):
-        rows.extend(block)
-        if bad:
-            failures.append({"grid_index": i, "n_trunc": sorted(set(bad))})
-    return SweepResult(
-        columns=CONVERGENCE_COLUMNS,
-        rows=rows,
-        meta={
-            "kind": "convergence_sweep",
-            "delta": float(delta),
-            "g_c": gc,
-            "grid_points": len(grid),
-            "g_first": float(grid[0]),
-            "g_last": float(grid[-1]),
-            "trunc_list": trunc_list,
-            "ref_trunc": ref_trunc,
-            "n_levels": int(n_levels),
-            "workers": effective,
-            "sentinel_failures": failures,
-            "wall_time_s": time.perf_counter() - t0,
-        },
+    meta.update(
+        kind="convergence_sweep",
+        trunc_list=trunc_list,
+        ref_trunc=ref_trunc,
+        n_levels=int(n_levels),
     )
+    return _sweep(CONVERGENCE_COLUMNS, _convergence_point, jobs, workers, t0, meta)
 
 
-def _phase_point(job: tuple) -> list[tuple]:
-    delta, ratios, pairs, eps_par, n_trunc = job
+def _phase_point(job: tuple) -> tuple[list[tuple], Optional[dict]]:
+    delta, grid, pairs, eps_par, n_trunc = job
     trunc = Truncation(n_trunc)
+    onsets: dict[int, float] = {}
+    failing = []
+    for i, g in enumerate(grid):
+        report, ok = _dense_point(i, delta, g, trunc, 2 * pairs[-1] + 2, eps_par)
+        if not ok:
+            failing.append(i)
+        if i == 0:
+            first = report
+        for pair in pairs:
+            if not report[pair].regular:
+                onsets.setdefault(pair, g)
+        if len(onsets) == len(pairs):
+            break
     gc = critical_coupling(delta)
-    grid = np.asarray(ratios, dtype=float) * gc
-    params0 = ModelParams(delta, float(grid[0]))
-    try:
-        first = solve_point(params0, trunc, 2 * max(pairs) + 2)
-        curves = min_pair_parity_curves(
-            delta, grid, pairs, trunc, eps_par, stop_when_all_found=True
-        )
-    except SolverError as exc:
-        raise SolverError(f"delta={delta!r}: {exc}") from exc
-    step = float(grid[1] - grid[0]) if len(grid) > 1 else math.nan
+    step = grid[1] - grid[0]
     rows = []
     for pair in pairs:
-        degenerate = bool(first.near_degenerate[2 * pair])
-        onset_idx = next(
-            (i for i, v in enumerate(curves[pair]) if v < 1.0 - eps_par), None
-        )
-        if onset_idx is None:
-            rows.append((delta, gc, pair, math.nan, math.nan, step, 0, int(degenerate)))
-        else:
-            g = float(grid[onset_idx])
-            rows.append((delta, gc, pair, g, g / gc, step, 1, int(degenerate)))
-    return rows
+        g = onsets.get(pair, math.nan)
+        degenerate = int(first[pair].degenerate)
+        rows.append((delta, gc, pair, g, g / gc, step, int(pair in onsets), degenerate))
+    return rows, {"delta": delta, "grid_index": failing} if failing else None
 
 
 def phase_boundary_scan(
@@ -490,18 +451,17 @@ def phase_boundary_scan(
 ) -> SweepResult:
     """Irregularity onset per (delta, pair) over a shared g/g_c grid.
 
-    Rows where the pair is already degenerate at the smallest coupling of
-    the grid carry a degenerate flag: their per-state parities are
-    solver-arbitrary from the start and the onset column is not a
-    boundary in any physical sense there.
+    Each delta walks the grid upward and stops once every requested pair
+    has turned irregular.  Rows where the pair is already degenerate at
+    the smallest coupling of the grid carry a degenerate flag: their
+    per-state parities are solver-arbitrary from the start and the onset
+    column is not a boundary in any physical sense there.  Visited points
+    that fail the sentinel are listed per delta in the metadata.
     """
     t0 = time.perf_counter()
     deltas = [float(d) for d in delta_grid]
     if not deltas:
         raise ValueError("delta_grid must not be empty")
-    for d in deltas:
-        if not (math.isfinite(d) and d >= 0):
-            raise ValueError(f"delta values must be finite and >= 0, got {d}")
     pairs = sorted(set(int(p) for p in pair_indices))
     if not pairs or pairs[0] < 0:
         raise ValueError(f"pair indices must be non-negative, got {pair_indices!r}")
@@ -510,28 +470,18 @@ def phase_boundary_scan(
     ratios = np.asarray(ratio_grid, dtype=float)
     if ratios.ndim != 1 or ratios.size < 2:
         raise ValueError("ratio_grid must contain at least two points")
-    effective = resolve_workers(workers)
-    jobs = [
-        (d, tuple(float(r) for r in ratios), tuple(pairs), float(eps_par), trunc.n_trunc)
-        for d in deltas
-    ]
-    results = _run_jobs(_phase_point, jobs, effective)
-    rows: list[tuple] = []
-    for block in results:
-        rows.extend(block)
-    return SweepResult(
-        columns=PHASE_COLUMNS,
-        rows=rows,
-        meta={
-            "kind": "phase_boundary_scan",
-            "deltas": deltas,
-            "pairs": pairs,
-            "ratio_first": float(ratios[0]),
-            "ratio_last": float(ratios[-1]),
-            "grid_points": len(ratios),
-            "eps_par": float(eps_par),
-            "n_trunc": trunc.n_trunc,
-            "workers": effective,
-            "wall_time_s": time.perf_counter() - t0,
-        },
-    )
+    jobs = []
+    for d in deltas:
+        grid, _ = _coupling_axis(d, None, ratios)
+        jobs.append((d, tuple(map(float, grid)), tuple(pairs), float(eps_par), trunc.n_trunc))
+    meta = {
+        "kind": "phase_boundary_scan",
+        "deltas": deltas,
+        "pairs": pairs,
+        "ratio_first": float(ratios[0]),
+        "ratio_last": float(ratios[-1]),
+        "grid_points": len(ratios),
+        "eps_par": float(eps_par),
+        "n_trunc": trunc.n_trunc,
+    }
+    return _sweep(PHASE_COLUMNS, _phase_point, jobs, workers, t0, meta)

@@ -20,14 +20,19 @@ from rabi_lab.model import (
     ModelParams,
     Truncation,
     build_hamiltonian,
-    build_parity,
     critical_coupling,
+    parity_diagonal,
     sector_hamiltonian,
     shifted_energy,
 )
-from rabi_lab.parity import fock_populations, onset_coupling, parity_expectation
+from rabi_lab.parity import fock_populations, parity_expectation
 from rabi_lab.position import PositionGrid, position_wavefunction, symmetry_defect
-from rabi_lab.sweeps import convergence_sweep, coupling_sweep, grid_values
+from rabi_lab.sweeps import (
+    convergence_sweep,
+    coupling_sweep,
+    grid_values,
+    phase_boundary_scan,
+)
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "onset_delta50.json"
 
@@ -70,9 +75,10 @@ def test_parity_commutator_randomized():
         g = float(rng.uniform(0.0, 6.0 * critical_coupling(delta)))
         tr = Truncation(n)
         h = build_hamiltonian(ModelParams(delta, g), tr)
-        p = build_parity(tr)
+        p = parity_diagonal(tr)
         bound = 1e-13 * max(1.0, float(np.abs(h).max()))
-        defect = float(np.abs(h @ p - p @ h).max())
+        # H P - P H with P = diag(p)
+        defect = float(np.abs(h * p[None, :] - p[:, None] * h).max())
         worst = max(worst, defect / bound)
         if defect > bound:
             break
@@ -181,16 +187,15 @@ def test_irregular_onset(strong_sweep, golden_onsets):
         # onset on the identical coupling doubles, must find the same
         # boundary; allow a few grid steps because it retains fewer
         # levels per solve and doublet mixing depths are solver-sensitive
-        gc = critical_coupling(DELTA_STRONG)
-        g_grid = np.asarray(RATIOS, dtype=float) * gc
         start = max(0, int(round(onsets[0] / step)) - 5)
-        located = onset_coupling(
-            DELTA_STRONG, 0, g_grid[start:], trunc=STRONG_TRUNC
+        scan = phase_boundary_scan(
+            [DELTA_STRONG], (0,), ratio_grid=RATIOS[start:], trunc=STRONG_TRUNC
         )
-        ok = ok and located is not None
-        if located is not None:
-            ok = ok and abs(located.g_over_gc - onsets[0]) <= 3.0 * step + 1e-12
-            detail += f"; scanner onset {located.g_over_gc:.4f}"
+        located = dict(zip(scan.columns, scan.rows[0]))
+        ok = ok and located["found"] == 1
+        if located["found"]:
+            ok = ok and abs(located["onset_g_over_gc"] - onsets[0]) <= 3.0 * step + 1e-12
+            detail += f"; scanner onset {located['onset_g_over_gc']:.4f}"
 
         for pair in (0, 1):
             recorded = golden_onsets["onsets"][str(pair)]["ratio"]

@@ -446,5 +446,32 @@ def test_phase_diagram_command(tmp_path):
     assert rows[0][header.index("found")] == "0"
 
 
+def test_phase_diagram_sentinel_failure(tmp_path):
+    # N=60 cannot hold the delta=50 states past ~1.25 g_c; a scan that
+    # reads "no onset" there must say its answer is unconverged
+    out = tmp_path / "pd_starved"
+    rc = main(
+        [
+            "phase-diagram",
+            "--delta-grid",
+            "50:50:1",
+            "--g-over-gc",
+            "0:2.5:0.05",
+            "--n-trunc",
+            "60",
+            "--out",
+            str(out),
+        ]
+    )
+    assert rc == 4
+    header, rows = _read_csv(out / "phase_diagram.csv")
+    assert header[-2:] == ["found", "degenerate"] and len(rows) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["sentinel"]["all_passed"] is False
+    (failure,) = manifest["sentinel"]["failures"]
+    assert failure["delta"] == 50.0
+    assert failure["grid_index"][-1] == 50
+
+
 def test_version_flag():
     assert main(["--version"]) == 0

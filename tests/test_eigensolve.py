@@ -11,7 +11,6 @@ from rabi_lab.eigensolve import (
     SolverError,
     eig_sym_dense,
     eig_sym_tridiag,
-    refine_rayleigh,
     residual_report,
 )
 from rabi_lab.model import ModelParams, Truncation, build_hamiltonian, sector_hamiltonian
@@ -160,16 +159,6 @@ def test_residual_report_tridiagonal_input():
     sp = eig_sym_tridiag(diag, off, k=4)
     rep = residual_report((diag, off), sp)
     assert rep.passed
-
-
-def test_refine_rayleigh_never_degrades():
-    rng = np.random.default_rng(5)
-    a = random_symmetric(rng, 40, scale=3.0)
-    sp = eig_sym_dense(a, k=8)
-    refined = refine_rayleigh(a, sp)
-    assert np.all(refined.residual_norms <= sp.residual_norms + 1e-18)
-    scale = max(1.0, np.abs(a).max())
-    assert np.abs(refined.eigenvalues - sp.eigenvalues).max() <= 1e-12 * scale
 
 
 def test_degeneracy_threshold_scales_with_matrix():

@@ -11,7 +11,6 @@ from rabi_lab.model import (
     basis_index,
     basis_labels,
     build_hamiltonian,
-    build_parity,
     critical_coupling,
     parity_diagonal,
     sector_hamiltonian,
@@ -92,10 +91,10 @@ def test_parity_pattern_small():
 
 
 def test_parity_matrix_is_diagonal_involution():
-    pmat = build_parity(Truncation(20))
-    assert np.array_equal(np.diag(np.diag(pmat)), pmat)
-    assert set(np.unique(np.diag(pmat))) == {-1.0, 1.0}
-    assert np.array_equal(pmat @ pmat, np.eye(40))
+    pd = parity_diagonal(Truncation(20))
+    assert pd.shape == (40,)
+    assert set(np.unique(pd)) == {-1.0, 1.0}
+    assert np.array_equal(pd * pd, np.ones(40))
 
 
 def test_hamiltonian_bitwise_symmetric():
@@ -118,8 +117,9 @@ def test_commutator_with_parity_vanishes_exactly():
         g = float(rng.uniform(0.0, 6.0 * critical_coupling(delta)))
         tr = Truncation(n)
         h = build_hamiltonian(ModelParams(delta, g), tr)
-        pmat = build_parity(tr)
-        assert np.abs(h @ pmat - pmat @ h).max() == 0.0
+        p = parity_diagonal(tr)
+        # H P - P H with P = diag(p)
+        assert np.abs(h * p[None, :] - p[:, None] * h).max() == 0.0
 
 
 def test_hamiltonian_matches_spin_z_kron_assembly():

@@ -11,19 +11,15 @@ from rabi_lab.model import (
     Truncation,
     basis_index,
     build_hamiltonian,
-    critical_coupling,
     parity_diagonal,
 )
 from rabi_lab.parity import (
     fock_populations,
-    min_pair_parity_curves,
-    onset_coupling,
     pair_report,
     parity_expectation,
-    sector_weights,
     subspace_parity_trace,
 )
-from rabi_lab.sweeps import grid_values
+from rabi_lab.sweeps import grid_values, phase_boundary_scan
 
 
 def _basis_state(n, s, trunc):
@@ -67,11 +63,12 @@ def test_equal_mixture_has_zero_parity():
 
 def test_sector_weights_and_consistency():
     tr = Truncation(30)
+    even = parity_diagonal(tr) > 0
     rng = np.random.default_rng(23)
     for _ in range(20):
         v = rng.standard_normal(tr.dim)
         v /= np.linalg.norm(v)
-        w_plus, w_minus = sector_weights(v, tr)
+        w_plus, w_minus = float((v[even] ** 2).sum()), float((v[~even] ** 2).sum())
         assert w_plus >= 0.0 and w_minus >= 0.0
         assert abs(w_plus + w_minus - 1.0) <= 1e-12
         assert abs((w_plus - w_minus) - parity_expectation(v, tr)) <= 1e-12
@@ -166,26 +163,16 @@ def test_pair_report_validation():
 
 
 def test_onset_none_in_regular_window():
-    gc = critical_coupling(5.0)
-    grid = gc * grid_values(0.2, 0.8, 0.2)
-    res = onset_coupling(5.0, 0, grid, trunc=Truncation(40))
-    assert res is None
+    res = phase_boundary_scan(
+        [5.0], (0,), ratio_grid=grid_values(0.2, 0.8, 0.2), trunc=Truncation(40)
+    )
+    assert dict(zip(res.columns, res.rows[0]))["found"] == 0
 
 
 def test_onset_grid_validation():
     with pytest.raises(ValueError):
-        onset_coupling(1.0, 0, [], trunc=Truncation(20))
+        phase_boundary_scan([1.0], (0,), ratio_grid=[], trunc=Truncation(20))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        phase_boundary_scan([1.0], (0,), ratio_grid=[0.5, 0.4], trunc=Truncation(20))
     with pytest.raises(ValueError):
-        onset_coupling(1.0, 0, [0.5, 0.4], trunc=Truncation(20))
-    with pytest.raises(ValueError):
-        onset_coupling(1.0, -1, [0.1, 0.2], trunc=Truncation(20))
-
-
-def test_min_pair_parity_curves_regular_window():
-    gc = critical_coupling(2.0)
-    grid = gc * grid_values(0.1, 0.5, 0.2)
-    curves = min_pair_parity_curves(2.0, grid, (0, 1), Truncation(40))
-    assert set(curves) == {0, 1}
-    for vals in curves.values():
-        assert len(vals) == len(grid)
-        assert all(v > 0.999 for v in vals)
+        phase_boundary_scan([1.0], (-1,), ratio_grid=[0.1, 0.2], trunc=Truncation(20))

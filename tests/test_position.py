@@ -138,13 +138,3 @@ def test_defect_matches_parity_purity():
         purity_gap = 1.0 - abs(parity_expectation(v, tr))
         assert abs(defect - purity_gap) <= 1e-4
         assert abs(wf.quadrature_norm() - 1.0) <= 1e-6
-
-
-def test_spin_z_view_preserves_density():
-    params = ModelParams.from_ratio(2.0, 1.2)
-    tr = Truncation(80)
-    sp = eig_sym_dense(build_hamiltonian(params, tr), k=1)
-    grid = PositionGrid.default_for(params.g)
-    wf = position_wavefunction(sp.eigenvectors[:, 0], grid, tr)
-    up, dn = wf.components_z()
-    assert np.abs((up**2 + dn**2) - wf.density()).max() <= 1e-12

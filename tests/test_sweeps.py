@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rabi_lab.io import render_table
 from rabi_lab.model import ModelParams, Truncation, critical_coupling
@@ -12,7 +13,6 @@ from rabi_lab.sweeps import (
     PARITY_COLUMNS,
     PHASE_COLUMNS,
     SENTINEL_THRESHOLD,
-    convergence_sentinel,
     convergence_sweep,
     coupling_sweep,
     grid_values,
@@ -20,6 +20,7 @@ from rabi_lab.sweeps import (
     phase_boundary_scan,
     resolve_workers,
     solve_point,
+    tail_population,
     tail_start_index,
 )
 
@@ -52,21 +53,20 @@ def test_tail_start_index():
     assert tail_start_index(2000) == 1800
 
 
+def _max_tail(params, tr):
+    return tail_population(solve_point(params, tr, 8).eigenvectors, tr)
+
+
 def test_sentinel_passes_when_truncation_generous():
-    res = convergence_sentinel(ModelParams(1.0, 0.0), Truncation(10))
-    assert res.passed
-    assert res.max_tail_population == 0.0
-    assert res.tail_start == 9
-    assert res.threshold == SENTINEL_THRESHOLD
+    tr = Truncation(10)
+    assert tail_start_index(tr.n_trunc) == 9
+    assert _max_tail(ModelParams(1.0, 0.0), tr) == 0.0 < SENTINEL_THRESHOLD
 
 
 def test_sentinel_fails_when_truncation_starved():
     params = ModelParams.from_ratio(1.0, 6.0)
-    res = convergence_sentinel(params, Truncation(50))
-    assert not res.passed
-    assert res.max_tail_population > SENTINEL_THRESHOLD
-    generous = convergence_sentinel(params, Truncation(1000))
-    assert generous.passed
+    assert _max_tail(params, Truncation(50)) > SENTINEL_THRESHOLD
+    assert _max_tail(params, Truncation(1000)) < SENTINEL_THRESHOLD
 
 
 def test_solve_point_matches_sector_merge():
@@ -105,6 +105,11 @@ def test_coupling_sweep_grid_argument_exclusivity():
         coupling_sweep(1.0, g_grid=[0.1], ratio_grid=[0.1])
     with pytest.raises(ValueError):
         coupling_sweep(1.0, ratio_grid=[0.5], n_levels=3)
+    for sweep in (coupling_sweep, convergence_sweep):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sweep(1.0, ratio_grid=[0.5, 0.5])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sweep(1.0, g_grid=[0.4, 0.2])
 
 
 def test_coupling_sweep_worker_count_does_not_change_bytes():
@@ -177,15 +182,38 @@ def test_phase_scan_flags_degenerate_first_point():
 
 
 def test_phase_scan_reports_not_found_in_regular_window():
+    ratios = [0.1, 0.3, 0.5]
     res = phase_boundary_scan(
-        [2.0], pair_indices=(0,), ratio_grid=[0.1, 0.3, 0.5], trunc=Truncation(40)
+        [2.0], pair_indices=(0, 1), ratio_grid=ratios, trunc=Truncation(40)
     )
-    rec = dict(zip(res.columns, res.rows[0]))
-    assert rec["found"] == 0
-    assert np.isnan(rec["onset_g"])
-    assert np.isnan(rec["onset_g_over_gc"])
-    assert rec["degenerate"] == 0
-    assert abs(rec["g_c"] - critical_coupling(2.0)) <= 1e-15
+    recs = [dict(zip(res.columns, row)) for row in res.rows]
+    assert [rec["pair_index"] for rec in recs] == [0, 1]
+    for rec in recs:
+        assert rec["found"] == 0
+        assert np.isnan(rec["onset_g"])
+        assert np.isnan(rec["onset_g_over_gc"])
+        assert rec["degenerate"] == 0
+        assert abs(rec["g_c"] - critical_coupling(2.0)) <= 1e-15
+    assert res.meta["sentinel_failures"] == []
+    # not merely above 1 - eps_par: both pairs stay parity-pure at every point
+    sweep = coupling_sweep(2.0, ratio_grid=ratios, n_levels=4, trunc=Truncation(40))
+    assert len(sweep.rows) == 4 * len(ratios)
+    assert all(abs(dict(zip(sweep.columns, r))["parity"]) > 0.999 for r in sweep.rows)
+
+
+def test_phase_scan_solves_each_point_once(monkeypatch):
+    calls = []
+    eigh = scipy.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+    phase_boundary_scan(
+        [2.0], (0, 1), ratio_grid=[0.1, 0.3, 0.5], trunc=Truncation(40), workers=1
+    )
+    assert len(calls) == 3
 
 
 def test_resolve_workers_env_cap(monkeypatch):
