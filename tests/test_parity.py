@@ -19,7 +19,7 @@ from rabi_lab.parity import (
     parity_expectation,
     subspace_parity_trace,
 )
-from rabi_lab.sweeps import grid_values, phase_boundary_scan
+from rabi_lab.sweeps import coupling_sweep, grid_values, phase_boundary_scan
 
 
 def _basis_state(n, s, trunc):
@@ -176,3 +176,18 @@ def test_onset_grid_validation():
         phase_boundary_scan([1.0], (0,), ratio_grid=[0.5, 0.4], trunc=Truncation(20))
     with pytest.raises(ValueError):
         phase_boundary_scan([1.0], (-1,), ratio_grid=[0.1, 0.2], trunc=Truncation(20))
+
+
+def test_min_pair_parity_curves_regular_window():
+    ratios = grid_values(0.1, 0.5, 0.2)
+    res = coupling_sweep(2.0, ratio_grid=ratios, n_levels=4, trunc=Truncation(40))
+    recs = [dict(zip(res.columns, row)) for row in res.rows]
+    curves = {}
+    for rec in recs:
+        curves.setdefault(rec["pair_index"], {}).setdefault(rec["g_over_gc"], []).append(
+            abs(rec["parity"])
+        )
+    assert set(curves) == {0, 1}
+    for per_point in curves.values():
+        assert len(per_point) == len(ratios)
+        assert all(len(pair) == 2 and min(pair) > 0.999 for pair in per_point.values())
