@@ -293,6 +293,8 @@ def _require(values: dict, key: str) -> None:
 
 
 def _validate(command: str, values: dict, provenance: dict) -> None:
+    if values.get("n_trunc") is not None and values["n_trunc"] < 2:
+        raise ConfigError(f"n_trunc must be >= 2, got {values['n_trunc']}")
     if command in ("spectrum", "parity", "wavefunction", "converge"):
         _require(values, "delta")
         if values["delta"] < 0:
@@ -313,12 +315,16 @@ def _validate(command: str, values: dict, provenance: dict) -> None:
         _require(values, "delta_grid")
         if not isinstance(values["delta_grid"], GridSpec):
             values["delta_grid"] = GridSpec(values["delta_grid"], values["delta_grid"], 1.0)
-        if not isinstance(values["g_over_gc"], GridSpec):
-            raise ConfigError("phase-diagram needs a g_over_gc range start:stop:step")
-        if not values["pairs"] or min(values["pairs"]) < 0:
+        ratio = values["g_over_gc"]
+        if not isinstance(ratio, GridSpec) or len(ratio.values()) < 2:
+            raise ConfigError("phase-diagram needs a g_over_gc range with >= 2 points")
+        if min(values["pairs"]) < 0:
             raise ConfigError(f"pairs must be non-negative, got {values['pairs']}")
-    if values.get("n_trunc") is not None and values["n_trunc"] < 2:
-        raise ConfigError(f"n_trunc must be >= 2, got {values['n_trunc']}")
+        if max(values["pairs"]) + 1 > values["n_trunc"]:
+            raise ConfigError(
+                f"pair {max(values['pairs'])} does not fit in {2 * values['n_trunc']} levels "
+                f"of n_trunc={values['n_trunc']}"
+            )
     if values.get("levels") is not None and values["levels"] < 1:
         raise ConfigError(f"levels must be >= 1, got {values['levels']}")
     if command in ("spectrum", "parity") and values["levels"] % 2:
@@ -330,8 +336,6 @@ def _validate(command: str, values: dict, provenance: dict) -> None:
     if values.get("workers") is not None and values["workers"] < 0:
         raise ConfigError(f"workers must be >= 0, got {values['workers']}")
     if command == "converge":
-        if not values["truncs"]:
-            raise ConfigError("truncs must not be empty")
         if min(values["truncs"]) < 2:
             raise ConfigError(f"every candidate truncation must be >= 2, got {values['truncs']}")
         if values["ref"] < max(values["truncs"]):
@@ -393,10 +397,6 @@ def _finish(
     return EXIT_OK
 
 
-def _ext(values: dict) -> str:
-    return "csv" if values.get("format", "csv") == "csv" else "json"
-
-
 def _run_sweep(cfg: ResolvedConfig, out_dir: Path, t0: float) -> int:
     """Table commands: one sweep, one table, sentinel failures from its meta."""
     values = cfg.values
@@ -427,10 +427,9 @@ def _run_sweep(cfg: ResolvedConfig, out_dir: Path, t0: float) -> int:
             workers=values.get("workers"),
             **_coupling_grid(values)[0],
         )
+    fmt = values["format"]
     name = cfg.command.replace("-", "_")
-    entry = write_table(
-        out_dir / f"{name}.{_ext(values)}", result.columns, result.rows, values["format"]
-    )
+    entry = write_table(out_dir / f"{name}.{fmt}", result.columns, result.rows, fmt)
     return _finish(
         cfg, out_dir, [entry], {"sweep": result.meta}, result.meta["sentinel_failures"], t0
     )
@@ -458,7 +457,7 @@ def _run_wavefunction(cfg: ResolvedConfig, out_dir: Path, t0: float) -> int:
         rows = list(zip(grid.xi.tolist(), wf.psi_plus.tolist(), wf.psi_minus.tolist()))
         files.append(
             write_table(
-                out_dir / f"wavefunction_level{level}.{_ext(values)}",
+                out_dir / f"wavefunction_level{level}.{fmt}",
                 ("xi", "psi_plus", "psi_minus"),
                 rows,
                 fmt,
@@ -477,7 +476,7 @@ def _run_wavefunction(cfg: ResolvedConfig, out_dir: Path, t0: float) -> int:
         )
     files.append(
         write_table(
-            out_dir / f"wavefunction_summary.{_ext(values)}",
+            out_dir / f"wavefunction_summary.{fmt}",
             ("level", "energy", "energy_shifted", "parity", "symmetry_defect", "quadrature_norm"),
             summary,
             fmt,
@@ -513,9 +512,6 @@ def main(argv: Optional[list] = None) -> int:
         return int(exc.code or 0)
     try:
         return run_job(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

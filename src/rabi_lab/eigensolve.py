@@ -2,9 +2,12 @@
 
 Two storage paths: dense (full two-component operator) and tridiagonal
 (single parity sector).  Both return a ``Spectrum`` whose eigenvalues are
-ascending and whose eigenvectors satisfy checked residual, normalization
-and orthogonality bounds; a contract violation raises ``SolverError``
-instead of returning silently degraded data.
+ascending, bitwise-equal eigenvalues ordered by the basis index of their
+eigenvector's first nonzero component.  Every returned set of eigenpairs
+passes one accuracy contract (residual, normalization and orthogonality
+bounds), the same check ``residual_report`` recomputes for an existing
+spectrum; a violation raises ``SolverError`` instead of returning silently
+degraded data.
 
 Solves are deterministic for identical inputs within one build of the
 underlying LAPACK, which is what makes sweep output byte-reproducible.
@@ -50,11 +53,10 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveMeta:
-    """Provenance of one solve: path, sizes, scale and wall time."""
+    """Provenance of one solve: path, size, scale and wall time."""
 
     path: str
     dim: int
-    k: int
     scale: float
     wall_time_s: float
 
@@ -79,65 +81,83 @@ class Spectrum:
         return len(self.eigenvalues)
 
 
-def _first_nonzero_index(vec: np.ndarray) -> int:
-    big = np.abs(vec) > 1e-12
-    idx = np.flatnonzero(big)
-    return int(idx[0]) if idx.size else len(vec)
+@dataclass(frozen=True)
+class ResidualReport:
+    """Contract check of a set of eigenpairs against their matrix."""
+
+    max_residual: float
+    max_norm_defect: float
+    max_ortho_defect: float
+    residual_tol: float
+    failing_levels: tuple[int, ...]
+    passed: bool
 
 
-def _order_ties(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable ascending order; bitwise-equal eigenvalues are ordered by the
-    basis index of the first nonzero eigenvector component."""
-    order = np.arange(len(w))
-    i = 0
-    while i < len(w) - 1:
-        j = i
-        while j + 1 < len(w) and w[j + 1] == w[i]:
-            j += 1
-        if j > i:
-            block = order[i : j + 1]
-            keys = [_first_nonzero_index(v[:, b]) for b in block]
-            order[i : j + 1] = block[np.argsort(keys, kind="stable")]
-        i = j + 1
-    return w[order], v[:, order]
+def _tridiag_matvec(diag: np.ndarray, offdiag: np.ndarray, v: np.ndarray) -> np.ndarray:
+    out = diag[:, None] * v
+    out[:-1] += offdiag[:, None] * v[1:]
+    out[1:] += offdiag[:, None] * v[:-1]
+    return out
 
 
-def _finalize(
-    w: np.ndarray,
-    v: np.ndarray,
-    residuals: np.ndarray,
-    scale: float,
-    path: str,
-    t0: float,
-) -> Spectrum:
-    norms = np.linalg.norm(v, axis=0)
-    bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOL)
-    if bad.size:
-        raise SolverError(f"{path}: eigenvector {bad[0]} norm defect {abs(norms[bad[0]] - 1.0):.3e}")
+def _as_operator(matrix: Union[np.ndarray, TridiagPair]):
+    """(matvec, scale) of a dense array or a (diag, offdiag) pair."""
+    if isinstance(matrix, tuple):
+        d, e = (np.asarray(a, dtype=float) for a in matrix)
+        scale = max(1.0, float(np.abs(d).max()), float(np.abs(e).max()) if len(e) else 0.0)
+        return (lambda v: _tridiag_matvec(d, e, v)), scale
+    m = np.asarray(matrix, dtype=float)
+    return (lambda v: m @ v), max(1.0, float(np.abs(m).max()))
+
+
+def _contract(
+    w: np.ndarray, v: np.ndarray, matvec, scale: float
+) -> tuple[ResidualReport, np.ndarray]:
+    """The accuracy contract of eigenpairs (w, v): report and residual norms.
+
+    A level fails on its residual or norm defect; the set fails on any
+    failing level or an off-diagonal Gram entry above ORTHO_TOL.  Every
+    comparison is written so that NaN fails it.
+    """
+    residuals = np.linalg.norm(matvec(v) - v * w, axis=0)
+    norm_defects = np.abs(np.linalg.norm(v, axis=0) - 1.0)
     gram = v.T @ v
     np.fill_diagonal(gram, 0.0)
-    if gram.size and np.abs(gram).max() > ORTHO_TOL:
-        i, j = np.unravel_index(np.abs(gram).argmax(), gram.shape)
-        raise SolverError(f"{path}: eigenvectors {i},{j} overlap {abs(gram[i, j]):.3e}")
+    overlap = float(np.abs(gram).max()) if gram.size else 0.0
     tol = RESIDUAL_RTOL * scale
-    bad = np.flatnonzero(residuals > tol)
-    if bad.size:
+    failing = np.flatnonzero(~((residuals <= tol) & (norm_defects <= NORM_TOL)))
+    report = ResidualReport(
+        max_residual=float(residuals.max()),
+        max_norm_defect=float(norm_defects.max()),
+        max_ortho_defect=overlap,
+        residual_tol=tol,
+        failing_levels=tuple(int(i) for i in failing),
+        passed=bool(failing.size == 0 and overlap <= ORTHO_TOL),
+    )
+    return report, residuals
+
+
+def _finalize(w: np.ndarray, v: np.ndarray, operator, path: str, t0: float) -> Spectrum:
+    """Tie-order the raw eigenpairs, enforce the contract, wrap as a Spectrum."""
+    order = np.lexsort((np.argmax(np.abs(v) > 1e-12, axis=0), w))
+    w, v = w[order], v[:, order]
+    matvec, scale = _as_operator(operator)
+    report, residuals = _contract(w, v, matvec, scale)
+    if not report.passed:
         raise SolverError(
-            f"{path}: eigenpair {bad[0]} residual {residuals[bad[0]]:.3e} exceeds {tol:.3e}"
+            f"{path}: contract violated at levels {list(report.failing_levels)}: "
+            f"max residual {report.max_residual:.3e} (tol {report.residual_tol:.3e}), "
+            f"max norm defect {report.max_norm_defect:.3e}, "
+            f"max overlap {report.max_ortho_defect:.3e}"
         )
-    gaps = np.diff(w)
     meta = SolveMeta(
-        path=path,
-        dim=v.shape[0],
-        k=len(w),
-        scale=scale,
-        wall_time_s=time.perf_counter() - t0,
+        path=path, dim=v.shape[0], scale=scale, wall_time_s=time.perf_counter() - t0
     )
     return Spectrum(
         eigenvalues=w,
         eigenvectors=v,
         residual_norms=residuals,
-        near_degenerate=gaps < DEGENERACY_RTOL * scale,
+        near_degenerate=np.diff(w) < DEGENERACY_RTOL * scale,
         meta=meta,
     )
 
@@ -160,21 +180,11 @@ def eig_sym_dense(matrix: np.ndarray, k: Optional[int] = None) -> Spectrum:
         k = dim
     if not 1 <= k <= dim:
         raise ValueError(f"k must be in [1, {dim}], got {k}")
-    scale = max(1.0, float(np.abs(m).max()))
     try:
         w, v = scipy.linalg.eigh(m, subset_by_index=(0, k - 1), driver="evr")
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SolverError(f"dense solve failed for dim={dim}: {exc}") from exc
-    w, v = _order_ties(w, v)
-    residuals = np.linalg.norm(m @ v - v * w, axis=0)
-    return _finalize(w, v, residuals, scale, "dense-evr", t0)
-
-
-def _tridiag_matvec(diag: np.ndarray, offdiag: np.ndarray, v: np.ndarray) -> np.ndarray:
-    out = diag[:, None] * v
-    out[:-1] += offdiag[:, None] * v[1:]
-    out[1:] += offdiag[:, None] * v[:-1]
-    return out
+    return _finalize(w, v, m, "dense-evr", t0)
 
 
 def eig_sym_tridiag(
@@ -193,61 +203,20 @@ def eig_sym_tridiag(
         k = dim
     if not 1 <= k <= dim:
         raise ValueError(f"k must be in [1, {dim}], got {k}")
-    scale = max(1.0, float(np.abs(d).max()), float(np.abs(e).max()) if len(e) else 0.0)
     try:
         w, v = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SolverError(f"tridiagonal solve failed for dim={dim}: {exc}") from exc
-    w, v = _order_ties(w, v)
-    residuals = np.linalg.norm(_tridiag_matvec(d, e, v) - v * w, axis=0)
-    return _finalize(w, v, residuals, scale, "tridiag", t0)
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    """Contract check of an existing Spectrum against its matrix."""
-
-    max_residual: float
-    max_norm_defect: float
-    max_ortho_defect: float
-    residual_tol: float
-    failing_levels: tuple[int, ...]
-    passed: bool
-
-
-def _as_operator(matrix: Union[np.ndarray, TridiagPair]):
-    if isinstance(matrix, tuple):
-        d, e = (np.asarray(a, dtype=float) for a in matrix)
-        scale = max(1.0, float(np.abs(d).max()), float(np.abs(e).max()) if len(e) else 0.0)
-        return (lambda v: _tridiag_matvec(d, e, v)), scale
-    m = np.asarray(matrix, dtype=float)
-    return (lambda v: m @ v), max(1.0, float(np.abs(m).max()))
+    return _finalize(w, v, (d, e), "tridiag", t0)
 
 
 def residual_report(
     matrix: Union[np.ndarray, TridiagPair], spectrum: Spectrum
 ) -> ResidualReport:
-    """Recompute residual/orthonormality defects for ``spectrum``.
+    """Recompute the contract check for ``spectrum``.
 
     ``matrix`` is either the dense array or a (diag, offdiag) pair; it must
     be the operator the spectrum came from for the report to mean anything.
     """
     matvec, scale = _as_operator(matrix)
-    v = spectrum.eigenvectors
-    residuals = np.linalg.norm(matvec(v) - v * spectrum.eigenvalues, axis=0)
-    norms = np.linalg.norm(v, axis=0)
-    gram = v.T @ v
-    np.fill_diagonal(gram, 0.0)
-    tol = RESIDUAL_RTOL * scale
-    failing = np.flatnonzero(
-        (residuals > tol) | (np.abs(norms - 1.0) > NORM_TOL)
-    )
-    passed = failing.size == 0 and (not gram.size or np.abs(gram).max() <= ORTHO_TOL)
-    return ResidualReport(
-        max_residual=float(residuals.max()),
-        max_norm_defect=float(np.abs(norms - 1.0).max()),
-        max_ortho_defect=float(np.abs(gram).max()) if gram.size else 0.0,
-        residual_tol=tol,
-        failing_levels=tuple(int(i) for i in failing),
-        passed=bool(passed),
-    )
+    return _contract(spectrum.eigenvalues, spectrum.eigenvectors, matvec, scale)[0]

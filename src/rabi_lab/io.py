@@ -22,7 +22,6 @@ __all__ = [
     "atomic_write_bytes",
     "format_number",
     "render_table",
-    "sha256_file",
     "write_manifest",
     "write_table",
 ]
@@ -104,14 +103,6 @@ def write_table(
         "sha256": hashlib.sha256(data).hexdigest(),
         "bytes": len(data),
     }
-
-
-def sha256_file(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def write_manifest(out_dir: Path, manifest: dict) -> Path:

@@ -1,8 +1,9 @@
 """Grid sweeps over coupling, truncation and level splitting.
 
 Every sweep evaluates independent grid points, so the work is farmed out
-to a process pool and merged back in grid order; output is identical for
-any worker count because each point's result depends only on its inputs.
+to a process pool and merged back in grid order; at a fixed BLAS thread
+count, output is identical for any worker count because each point's
+result depends only on its inputs.
 Worker count resolution: an explicit request is capped by the
 RABI_LAB_THREADS environment variable (0 means the CPU count), default 1.
 
@@ -16,6 +17,9 @@ Both dense sweeps, the coupling sweep and the phase-boundary scan, run
 each grid point through ``_dense_point`` (solve, sentinel, pair report).
 The irregularity onset of a pair, the first grid coupling at which either
 member has |<P>| < 1 - eps_par, is located by ``phase_boundary_scan``.
+The convergence sweep instead takes its energies from
+``merged_sector_levels``, which merges the two tridiagonal sector spectra
+under the dense path's tie order.
 """
 
 from __future__ import annotations
@@ -138,19 +142,6 @@ def tail_population(vectors: np.ndarray, trunc: Truncation) -> float:
     if t0 >= trunc.n_trunc:
         return 0.0
     return float(pops[t0:, :].sum(axis=0).max())
-
-
-def sector_tail_population(vectors: np.ndarray, trunc: Truncation) -> float:
-    """Same check for sector eigenvectors, which are photon-indexed directly."""
-    v = np.asarray(vectors, dtype=float)
-    if v.ndim == 1:
-        v = v[:, None]
-    if v.shape[0] != trunc.n_trunc:
-        raise ValueError(f"vectors have length {v.shape[0]}, expected {trunc.n_trunc}")
-    t0 = tail_start_index(trunc.n_trunc)
-    if t0 >= trunc.n_trunc:
-        return 0.0
-    return float((v[t0:, :] ** 2).sum(axis=0).max())
 
 
 def solve_point(params: ModelParams, trunc: Truncation, n_levels: int) -> Spectrum:
@@ -305,15 +296,6 @@ def coupling_sweep(
     return _sweep(PARITY_COLUMNS, _coupling_point, jobs, workers, t0, meta)
 
 
-def _sector_first_index(vector: np.ndarray, sector: int) -> int:
-    idx = np.flatnonzero(np.abs(vector) > 1e-12)
-    if not idx.size:
-        return 2 * len(vector)
-    n0 = int(idx[0])
-    s0 = sector * (1 if n0 % 2 == 0 else -1)
-    return 2 * n0 + (0 if s0 == 1 else 1)
-
-
 def merged_sector_levels(
     params: ModelParams, trunc: Truncation, n_levels: int
 ) -> tuple[np.ndarray, float]:
@@ -321,25 +303,25 @@ def merged_sector_levels(
 
     Returns (energies ascending, max tail population over the kept
     states).  Exact cross-sector ties are ordered by the full-basis index
-    of the first nonzero component, the same rule the dense path applies.
+    of the first nonzero component, the same rule the dense path applies:
+    photon n of sector s sits at 2n + [s * (-1)^n == -1].
     """
     if not 1 <= n_levels <= trunc.dim:
         raise ValueError(f"n_levels must be in [1, {trunc.dim}], got {n_levels}")
     per_sector = min(n_levels, trunc.n_trunc)
-    entries = []
+    t0 = tail_start_index(trunc.n_trunc)
+    energies, keys, tails = [], [], []
     for sector in (1, -1):
         diag, off = sector_hamiltonian(params, trunc, sector)
         spec = eig_sym_tridiag(diag, off, per_sector)
-        for i in range(per_sector):
-            vec = spec.eigenvectors[:, i]
-            entries.append(
-                (float(spec.eigenvalues[i]), _sector_first_index(vec, sector), sector, vec)
-            )
-    entries.sort(key=lambda item: (item[0], item[1]))
-    kept = entries[:n_levels]
-    energies = np.array([item[0] for item in kept])
-    tails = [sector_tail_population(item[3], trunc) for item in kept]
-    return energies, max(tails)
+        v = spec.eigenvectors
+        n0 = np.argmax(np.abs(v) > 1e-12, axis=0)
+        energies.append(spec.eigenvalues)
+        keys.append(2 * n0 + (sector * (-1) ** n0 == -1))
+        tails.append((v[t0:] ** 2).sum(axis=0))
+    energies, keys, tails = (np.concatenate(a) for a in (energies, keys, tails))
+    kept = np.lexsort((keys, energies))[:n_levels]
+    return energies[kept], float(tails[kept].max())
 
 
 def _convergence_point(job: tuple) -> tuple[list[tuple], Optional[dict]]:
@@ -465,6 +447,10 @@ def phase_boundary_scan(
     pairs = sorted(set(int(p) for p in pair_indices))
     if not pairs or pairs[0] < 0:
         raise ValueError(f"pair indices must be non-negative, got {pair_indices!r}")
+    if 2 * pairs[-1] + 2 > trunc.dim:
+        raise ValueError(
+            f"pair {pairs[-1]} does not fit in {trunc.dim} levels of n_trunc={trunc.n_trunc}"
+        )
     if ratio_grid is None:
         ratio_grid = grid_values(0.0, 2.5, 0.01)
     ratios = np.asarray(ratio_grid, dtype=float)

@@ -473,5 +473,20 @@ def test_phase_diagram_sentinel_failure(tmp_path):
     assert failure["grid_index"][-1] == 50
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["--g-over-gc", "1:1:0.1"], ["--pairs", "30", "--n-trunc", "10"]],
+    ids=["one_point_grid", "pair_beyond_truncation"],
+)
+def test_phase_diagram_rejects_unscannable_input_before_writing(tmp_path, capsys, args):
+    out = tmp_path / "never"
+    assert main(["phase-diagram", "--delta-grid", "2", *args, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "config error" in err
+    if "--pairs" in args:
+        assert "pair 30" in err
+
+
 def test_version_flag():
     assert main(["--version"]) == 0

@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rabi_lab.eigensolve import (
     DEGENERACY_RTOL,
     NORM_TOL,
     ORTHO_TOL,
     RESIDUAL_RTOL,
+    SolveMeta,
     SolverError,
+    Spectrum,
     eig_sym_dense,
     eig_sym_tridiag,
     residual_report,
@@ -171,3 +174,56 @@ def test_degeneracy_threshold_scales_with_matrix():
     sp_big = eig_sym_dense(big)
     assert bool(sp_big.near_degenerate[0]) is True
     assert DEGENERACY_RTOL == 1e-12
+
+
+@pytest.mark.parametrize("solver", ["eigh", "eigh_tridiagonal"])
+def test_contract_violation_raises(monkeypatch, solver):
+    # the solver returns one eigenvector tilted by 1e-6 out of its
+    # eigenspace (still unit-norm and orthogonal to the others): the
+    # residual check must refuse it, and residual_report must agree
+    params = ModelParams(1.0, 0.5)
+    tr = Truncation(40)
+    if solver == "eigh":
+        operator = build_hamiltonian(params, tr)
+        solve = lambda: eig_sym_dense(operator, k=6)
+    else:
+        operator = sector_hamiltonian(params, tr, 1)
+        solve = lambda: eig_sym_tridiag(*operator, k=6)
+    original = getattr(scipy.linalg, solver)
+    returned = []
+
+    def tilted(*args, **kwargs):
+        w, v = original(*args, **kwargs)
+        noise = np.random.default_rng(1).standard_normal(v.shape[0])
+        noise -= v @ (v.T @ noise)
+        bad = v[:, 0] + 1e-6 * noise / np.linalg.norm(noise)
+        v = v.copy()
+        v[:, 0] = bad / np.linalg.norm(bad)
+        returned.append((w, v))
+        return w, v
+
+    monkeypatch.setattr(scipy.linalg, solver, tilted)
+    with pytest.raises(SolverError, match=r"levels \[0\]"):
+        solve()
+    (w, v), = returned
+    spectrum = Spectrum(
+        eigenvalues=w,
+        eigenvectors=v,
+        residual_norms=np.zeros(len(w)),
+        near_degenerate=np.zeros(len(w) - 1, dtype=bool),
+        meta=SolveMeta(path=solver, dim=v.shape[0], scale=1.0, wall_time_s=0.0),
+    )
+    rep = residual_report(operator, spectrum)
+    assert not rep.passed
+    assert rep.failing_levels == (0,)
+    assert rep.max_residual > rep.residual_tol
+
+
+def test_residual_report_fails_nan_vectors():
+    # NaN must fail every comparison of the contract, not slip past it
+    h = build_hamiltonian(ModelParams(1.0, 0.5), Truncation(20))
+    sp = eig_sym_dense(h, k=3)
+    sp.eigenvectors[:, 1] = np.nan
+    rep = residual_report(h, sp)
+    assert not rep.passed
+    assert 1 in rep.failing_levels

@@ -11,7 +11,6 @@ from rabi_lab.io import (
     atomic_write_bytes,
     format_number,
     render_table,
-    sha256_file,
     write_manifest,
     write_table,
 )
@@ -69,7 +68,6 @@ def test_write_table_entry_matches_file(tmp_path):
     assert entry["name"] == "t.csv"
     assert entry["bytes"] == path.stat().st_size
     assert entry["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
-    assert entry["sha256"] == sha256_file(path)
 
 
 def test_write_manifest_round_trip(tmp_path):

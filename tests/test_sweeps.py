@@ -7,7 +7,14 @@ import pytest
 import scipy.linalg
 
 from rabi_lab.io import render_table
-from rabi_lab.model import ModelParams, Truncation, critical_coupling
+from rabi_lab.eigensolve import eig_sym_tridiag
+from rabi_lab.model import (
+    ModelParams,
+    Truncation,
+    critical_coupling,
+    parity_diagonal,
+    sector_hamiltonian,
+)
 from rabi_lab.sweeps import (
     CONVERGENCE_COLUMNS,
     PARITY_COLUMNS,
@@ -75,6 +82,55 @@ def test_solve_point_matches_sector_merge():
     sp = solve_point(params, tr, 8)
     merged, _ = merged_sector_levels(params, tr, 8)
     assert np.abs(sp.eigenvalues - merged).max() <= 1e-10
+
+
+def _merged_levels_by_loop(params, tr, n_levels):
+    # per-vector reference for merged_sector_levels: map each sector
+    # eigenvector into the full interleaved basis, key it by its first
+    # nonzero full-basis index, and sort (energy, key) tuples
+    entries = []
+    parity = parity_diagonal(tr)
+    for sector in (1, -1):
+        diag, off = sector_hamiltonian(params, tr, sector)
+        spec = eig_sym_tridiag(diag, off, min(n_levels, tr.n_trunc))
+        rows = np.flatnonzero(parity == sector)
+        for energy, vec in zip(spec.eigenvalues, spec.eigenvectors.T):
+            full = np.zeros(tr.dim)
+            full[rows] = vec
+            key = int(np.flatnonzero(np.abs(full) > 1e-12)[0])
+            entries.append((float(energy), key, full))
+    entries.sort(key=lambda item: item[:2])
+    kept = entries[:n_levels]
+    vectors = np.stack([item[2] for item in kept], axis=1)
+    return np.array([item[0] for item in kept]), tail_population(vectors, tr)
+
+
+@pytest.mark.parametrize(
+    "delta,g,n_trunc,n_levels",
+    [
+        (2.0, 0.0, 10, 17),
+        (0.0, 0.0, 12, 11),
+        (1.0, 0.8, 40, 8),
+        (5.0, 3.0, 50, 3),
+        (50.0, 7.0, 200, 8),
+    ],
+)
+def test_merge_matches_per_vector_reference(delta, g, n_trunc, n_levels):
+    params, tr = ModelParams(delta, g), Truncation(n_trunc)
+    energies, tail = merged_sector_levels(params, tr, n_levels)
+    ref_energies, ref_tail = _merged_levels_by_loop(params, tr, n_levels)
+    assert np.array_equal(energies, ref_energies)
+    assert abs(tail - ref_tail) <= 1e-13 * max(tail, ref_tail) + 1e-300
+
+
+def test_merge_orders_cross_sector_ties_by_full_basis_index():
+    # at g=0 the levels are n -+ delta/2: energy 8 is shared by sector +1
+    # at n=9 (full-basis index 18, all of it in the tail) and sector -1 at
+    # n=7 (index 15, no tail); the lower index is kept first, which a plain
+    # stable sort on energy alone (sector +1 listed first) would get wrong
+    params, tr = ModelParams(2.0, 0.0), Truncation(10)
+    assert merged_sector_levels(params, tr, 17)[1] == 0.0
+    assert merged_sector_levels(params, tr, 18)[1] == 1.0
 
 
 def test_coupling_sweep_table_shape_and_content():
@@ -199,6 +255,12 @@ def test_phase_scan_reports_not_found_in_regular_window():
     sweep = coupling_sweep(2.0, ratio_grid=ratios, n_levels=4, trunc=Truncation(40))
     assert len(sweep.rows) == 4 * len(ratios)
     assert all(abs(dict(zip(sweep.columns, r))["parity"]) > 0.999 for r in sweep.rows)
+
+
+def test_phase_scan_rejects_pair_beyond_truncation():
+    # pair 30 needs 62 levels; N=10 holds 20, so nothing is solved
+    with pytest.raises(ValueError, match="pair 30"):
+        phase_boundary_scan([2.0], (0, 30), ratio_grid=[0.1, 0.2], trunc=Truncation(10))
 
 
 def test_phase_scan_solves_each_point_once(monkeypatch):
