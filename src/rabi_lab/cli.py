@@ -6,8 +6,15 @@ converge (truncation study), phase-diagram (onset boundaries).  Options
 may come from flags or from a flat key=value config file; flags win and
 the manifest records where every effective value came from.
 
-Exit codes: 0 success, 2 configuration or I/O error, 3 solver failure,
-4 sentinel failure (results are still written, flagged).
+The CLI checks only what the library cannot see: required options, one
+coupling source (a built-in default coupling yields to a given one),
+scalar couplings for single-point commands, and the table format.  Every
+physics and grid argument is checked by the library before its first
+solve, and its ValueError maps to exit 2 like a configuration error.
+
+Exit codes: 0 success, 2 configuration or I/O error (nothing is written
+unless the error comes from writing), 3 solver failure, 4 sentinel
+failure (results are still written, flagged).
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from .eigensolve import (
     SolverError,
 )
 from .io import write_manifest, write_table
-from .model import ModelParams, Truncation, critical_coupling
+from .model import ModelParams, Truncation
 from .parity import DEFAULT_EPS_PAR, parity_expectation
 from .position import (
     DEFAULT_STEP,
@@ -255,8 +262,8 @@ def parse_config(argv: Optional[list] = None) -> ResolvedConfig:
     """Parse argv plus optional config file into one resolved configuration.
 
     Precedence: command-line flag, then config file, then built-in
-    default.  A coupling given both as g and as g_over_gc is rejected no
-    matter which source each came from.
+    default.  A coupling given both as g and as g_over_gc by flag or file
+    is rejected; a default g_over_gc yields to a given g.
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -293,13 +300,17 @@ def _require(values: dict, key: str) -> None:
 
 
 def _validate(command: str, values: dict, provenance: dict) -> None:
-    if values.get("n_trunc") is not None and values["n_trunc"] < 2:
-        raise ConfigError(f"n_trunc must be >= 2, got {values['n_trunc']}")
-    if command in ("spectrum", "parity", "wavefunction", "converge"):
+    """Command-line rules only; the library checks every physics and grid value."""
+    if command == "phase-diagram":
+        _require(values, "delta_grid")
+        for key in ("delta_grid", "g_over_gc"):
+            if not isinstance(values[key], GridSpec):
+                values[key] = GridSpec(values[key], values[key], 1.0)
+    else:
         _require(values, "delta")
-        if values["delta"] < 0:
-            raise ConfigError(f"delta must be >= 0, got {values['delta']}")
-        g, ratio = values.get("g"), values.get("g_over_gc")
+        if values["g"] is not None and provenance["g_over_gc"] == "default":
+            values["g_over_gc"] = None
+        g, ratio = values["g"], values["g_over_gc"]
         if g is not None and ratio is not None:
             raise ConfigError(
                 f"coupling given twice: g (from {provenance['g']}) "
@@ -307,55 +318,19 @@ def _validate(command: str, values: dict, provenance: dict) -> None:
             )
         if g is None and ratio is None:
             raise ConfigError("set a coupling with --g or --g-over-gc")
-        scalar_only = command in ("spectrum", "wavefunction")
         chosen = g if g is not None else ratio
-        if scalar_only and isinstance(chosen, GridSpec):
+        if command in ("spectrum", "wavefunction") and isinstance(chosen, GridSpec):
             raise ConfigError(f"{command} takes a scalar coupling, not a range")
-    if command == "phase-diagram":
-        _require(values, "delta_grid")
-        if not isinstance(values["delta_grid"], GridSpec):
-            values["delta_grid"] = GridSpec(values["delta_grid"], values["delta_grid"], 1.0)
-        ratio = values["g_over_gc"]
-        if not isinstance(ratio, GridSpec) or len(ratio.values()) < 2:
-            raise ConfigError("phase-diagram needs a g_over_gc range with >= 2 points")
-        if min(values["pairs"]) < 0:
-            raise ConfigError(f"pairs must be non-negative, got {values['pairs']}")
-        if max(values["pairs"]) + 1 > values["n_trunc"]:
-            raise ConfigError(
-                f"pair {max(values['pairs'])} does not fit in {2 * values['n_trunc']} levels "
-                f"of n_trunc={values['n_trunc']}"
-            )
-    if values.get("levels") is not None and values["levels"] < 1:
-        raise ConfigError(f"levels must be >= 1, got {values['levels']}")
-    if command in ("spectrum", "parity") and values["levels"] % 2:
-        raise ConfigError(f"levels must be even for {command}, got {values['levels']}")
-    if values.get("eps_par") is not None and not 0 < values["eps_par"] < 1:
-        raise ConfigError(f"eps_par must be in (0, 1), got {values['eps_par']}")
-    if values.get("format") not in (None, "csv", "json"):
+    if values["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {values['format']!r}")
-    if values.get("workers") is not None and values["workers"] < 0:
-        raise ConfigError(f"workers must be >= 0, got {values['workers']}")
-    if command == "converge":
-        if min(values["truncs"]) < 2:
-            raise ConfigError(f"every candidate truncation must be >= 2, got {values['truncs']}")
-        if values["ref"] < max(values["truncs"]):
-            raise ConfigError(
-                f"ref {values['ref']} is below the largest candidate {max(values['truncs'])}"
-            )
     _require(values, "out")
 
 
-def _coupling_grid(values: dict) -> tuple[dict, float]:
-    """Sweep kwargs selecting the coupling axis, plus the scalar g if any."""
-    g, ratio = values.get("g"), values.get("g_over_gc")
-    if g is not None:
-        if isinstance(g, GridSpec):
-            return {"g_grid": g.values()}, float("nan")
-        return {"g_grid": [float(g)]}, float(g)
-    if isinstance(ratio, GridSpec):
-        return {"ratio_grid": ratio.values()}, float("nan")
-    gc = critical_coupling(values["delta"])
-    return {"ratio_grid": [float(ratio)]}, float(ratio) * gc
+def _coupling_grid(values: dict) -> dict:
+    """Sweep kwargs selecting the coupling axis: g_grid or ratio_grid."""
+    key, axis = ("g", "g_grid") if values["g"] is not None else ("g_over_gc", "ratio_grid")
+    value = values[key]
+    return {axis: value.values() if isinstance(value, GridSpec) else [float(value)]}
 
 
 def _manifest_skeleton(cfg: ResolvedConfig, t0: float) -> dict:
@@ -416,7 +391,7 @@ def _run_sweep(cfg: ResolvedConfig, out_dir: Path, t0: float) -> int:
             ref_trunc=values["ref"],
             n_levels=values["levels"],
             workers=values.get("workers"),
-            **_coupling_grid(values)[0],
+            **_coupling_grid(values),
         )
     else:
         result = coupling_sweep(
@@ -425,7 +400,7 @@ def _run_sweep(cfg: ResolvedConfig, out_dir: Path, t0: float) -> int:
             trunc=Truncation(values["n_trunc"]),
             eps_par=values["eps_par"],
             workers=values.get("workers"),
-            **_coupling_grid(values)[0],
+            **_coupling_grid(values),
         )
     fmt = values["format"]
     name = cfg.command.replace("-", "_")
@@ -437,17 +412,19 @@ def _run_sweep(cfg: ResolvedConfig, out_dir: Path, t0: float) -> int:
 
 def _run_wavefunction(cfg: ResolvedConfig, out_dir: Path, t0: float) -> int:
     values = cfg.values
-    _, g = _coupling_grid(values)
-    params = ModelParams(values["delta"], g)
+    if values["g"] is not None:
+        params = ModelParams(values["delta"], values["g"])
+    else:
+        params = ModelParams.from_ratio(values["delta"], values["g_over_gc"])
     trunc = Truncation(values["n_trunc"])
+    if values["xi_max"] is not None:
+        grid = PositionGrid(values["xi_max"], values["xi_step"])
+    else:
+        grid = PositionGrid.default_for(params.g, values["xi_step"])
     spectrum = solve_point(params, trunc, values["levels"])
     if tail_population(spectrum.eigenvectors, trunc) >= SENTINEL_THRESHOLD:
         # unconverged amplitudes would contaminate every exported value
         return _finish(cfg, out_dir, [], {}, [0], t0)
-    if values.get("xi_max") is not None:
-        grid = PositionGrid(values["xi_max"], values["xi_step"])
-    else:
-        grid = PositionGrid.default_for(params.g, values["xi_step"])
     files = []
     summary = []
     fmt = values["format"]
@@ -495,8 +472,7 @@ def _run_wavefunction(cfg: ResolvedConfig, out_dir: Path, t0: float) -> int:
 def run_job(cfg: ResolvedConfig) -> int:
     """Execute one resolved job; returns the process exit code."""
     t0 = time.perf_counter()
-    out_dir = Path(cfg.values["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(cfg.values["out"])  # made by its first write
     if cfg.command == "wavefunction":
         return _run_wavefunction(cfg, out_dir, t0)
     return _run_sweep(cfg, out_dir, t0)

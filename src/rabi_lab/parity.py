@@ -49,6 +49,13 @@ def _checked_state(state, trunc: Truncation) -> np.ndarray:
     return v
 
 
+def check_eps_par(eps_par: float) -> float:
+    """The irregularity threshold as a float, which must lie in (0, 1)."""
+    if not 0.0 < eps_par < 1.0:
+        raise ValueError(f"eps_par must be in (0, 1), got {eps_par}")
+    return float(eps_par)
+
+
 def parity_expectation(state, trunc: Truncation) -> float:
     """<P> of a normalized state vector; always lands in [-1, 1]."""
     v = _checked_state(state, trunc)
@@ -117,8 +124,7 @@ def pair_report(
     values, so it stays meaningful when the pair is solver-mixed.  The
     ``regular`` flag applies the eps_par threshold to both members.
     """
-    if not 0.0 < eps_par < 1.0:
-        raise ValueError(f"eps_par must be in (0, 1), got {eps_par}")
+    check_eps_par(eps_par)
     if spectrum.k < 2:
         raise ValueError("need at least two levels to form a pair")
     n_pairs = spectrum.k // 2

@@ -13,6 +13,9 @@ SENTINEL_THRESHOLD.  Failing points are kept in the output with their
 sentinel column cleared, never dropped, and the indices are listed in the
 result metadata so callers can escalate.
 
+Every sweep checks all of its arguments before the first solve, so a bad
+argument raises ValueError without any work done.
+
 Both dense sweeps, the coupling sweep and the phase-boundary scan, run
 each grid point through ``_dense_point`` (solve, sentinel, pair report).
 The irregularity onset of a pair, the first grid coupling at which either
@@ -42,7 +45,7 @@ from .model import (
     critical_coupling,
     sector_hamiltonian,
 )
-from .parity import DEFAULT_EPS_PAR, PairParity, pair_report
+from .parity import DEFAULT_EPS_PAR, PairParity, check_eps_par, pair_report
 
 __all__ = [
     "PARITY_COLUMNS",
@@ -284,15 +287,14 @@ def coupling_sweep(
     """
     t0 = time.perf_counter()
     grid, meta = _coupling_axis(delta, g_grid, ratio_grid)
-    if n_levels % 2 or n_levels < 2:
-        raise ValueError(f"n_levels must be even and >= 2, got {n_levels}")
+    if n_levels % 2 or not 2 <= n_levels <= trunc.dim:
+        raise ValueError(f"n_levels must be even and in [2, {trunc.dim}], got {n_levels}")
+    eps_par = check_eps_par(eps_par)
     jobs = [
-        (i, float(delta), float(g), meta["g_c"], trunc.n_trunc, n_levels, float(eps_par))
+        (i, float(delta), float(g), meta["g_c"], trunc.n_trunc, n_levels, eps_par)
         for i, g in enumerate(grid)
     ]
-    meta.update(
-        kind="coupling_sweep", n_trunc=trunc.n_trunc, n_levels=n_levels, eps_par=float(eps_par)
-    )
+    meta.update(kind="coupling_sweep", n_trunc=trunc.n_trunc, n_levels=n_levels, eps_par=eps_par)
     return _sweep(PARITY_COLUMNS, _coupling_point, jobs, workers, t0, meta)
 
 
@@ -375,7 +377,7 @@ def convergence_sweep(
     """
     t0 = time.perf_counter()
     grid, meta = _coupling_axis(delta, g_grid, ratio_grid)
-    trunc_list = [int(n) for n in trunc_list]
+    trunc_list = [Truncation(int(n)).n_trunc for n in trunc_list]
     if not trunc_list:
         raise ValueError("trunc_list must not be empty")
     ref_trunc = int(ref_trunc)
@@ -383,15 +385,15 @@ def convergence_sweep(
         raise ValueError(
             f"reference truncation {ref_trunc} is below max candidate {max(trunc_list)}"
         )
+    n_levels = int(n_levels)
+    if not 1 <= n_levels <= 2 * min(trunc_list):
+        raise ValueError(f"n_levels must be in [1, {2 * min(trunc_list)}], got {n_levels}")
     jobs = [
-        (i, float(delta), float(g), meta["g_c"], tuple(trunc_list), ref_trunc, int(n_levels))
+        (i, float(delta), float(g), meta["g_c"], tuple(trunc_list), ref_trunc, n_levels)
         for i, g in enumerate(grid)
     ]
     meta.update(
-        kind="convergence_sweep",
-        trunc_list=trunc_list,
-        ref_trunc=ref_trunc,
-        n_levels=int(n_levels),
+        kind="convergence_sweep", trunc_list=trunc_list, ref_trunc=ref_trunc, n_levels=n_levels
     )
     return _sweep(CONVERGENCE_COLUMNS, _convergence_point, jobs, workers, t0, meta)
 
@@ -456,10 +458,11 @@ def phase_boundary_scan(
     ratios = np.asarray(ratio_grid, dtype=float)
     if ratios.ndim != 1 or ratios.size < 2:
         raise ValueError("ratio_grid must contain at least two points")
+    eps_par = check_eps_par(eps_par)
     jobs = []
     for d in deltas:
         grid, _ = _coupling_axis(d, None, ratios)
-        jobs.append((d, tuple(map(float, grid)), tuple(pairs), float(eps_par), trunc.n_trunc))
+        jobs.append((d, tuple(map(float, grid)), tuple(pairs), eps_par, trunc.n_trunc))
     meta = {
         "kind": "phase_boundary_scan",
         "deltas": deltas,
@@ -467,7 +470,7 @@ def phase_boundary_scan(
         "ratio_first": float(ratios[0]),
         "ratio_last": float(ratios[-1]),
         "grid_points": len(ratios),
-        "eps_par": float(eps_par),
+        "eps_par": eps_par,
         "n_trunc": trunc.n_trunc,
     }
     return _sweep(PHASE_COLUMNS, _phase_point, jobs, workers, t0, meta)

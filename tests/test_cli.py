@@ -124,11 +124,12 @@ def test_missing_required_options():
         parse_config(["spectrum", "--g", "1", "--out", "x"])  # no delta
 
 
-def test_odd_level_count_rejected():
-    with pytest.raises(ConfigError):
-        parse_config(
-            ["parity", "--delta", "1", "--g", "1", "--levels", "3", "--out", "x"]
-        )
+def test_odd_level_count_rejected(tmp_path, capsys):
+    out = tmp_path / "odd"
+    argv = ["parity", "--delta", "1", "--g", "1", "--levels", "3", "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    assert "n_levels must be even" in capsys.readouterr().err
 
 
 def test_exit_code_config_error(tmp_path, capsys):
@@ -282,6 +283,17 @@ def test_csv_tokens_round_trip_exactly(tmp_path):
             assert format_number(value) == token
 
 
+def _replay(out1, out2):
+    """Rerun the job recorded in out1's manifest config, writing to out2."""
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    replay = [manifest["command"]]
+    for key, token in manifest["config"].items():
+        if key != "out":
+            replay += [f"--{key.replace('_', '-')}", str(token)]
+    assert main(replay + ["--out", str(out2)]) == 0
+    return manifest
+
+
 def test_manifest_config_reruns_identically(tmp_path):
     out1 = tmp_path / "a"
     argv = [
@@ -298,15 +310,8 @@ def test_manifest_config_reruns_identically(tmp_path):
         str(out1),
     ]
     assert main(argv) == 0
-    manifest = json.loads((out1 / "manifest.json").read_text())
     out2 = tmp_path / "b"
-    replay = ["parity"]
-    for key, token in manifest["config"].items():
-        if key == "out" or token is None:
-            continue
-        replay += [f"--{key.replace('_', '-')}", str(token)]
-    replay += ["--out", str(out2)]
-    assert main(replay) == 0
+    _replay(out1, out2)
     assert (out1 / "parity.csv").read_bytes() == (out2 / "parity.csv").read_bytes()
 
 
@@ -413,6 +418,21 @@ def test_converge_command(tmp_path):
     assert len(rows) == 3 * 2 * 2
 
 
+def test_converge_accepts_g_over_default_ratio(tmp_path, capsys):
+    # converge has a default g_over_gc range; a given g replaces it
+    argv = ["converge", "--delta", "1", "--g", "0:0.5:0.25", "--truncs", "20,40", "--ref", "80"]
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(argv + ["--levels", "2", "--out", str(out1)]) == 0
+    manifest = _replay(out1, out2)
+    assert manifest["config"]["g"] == "0.0:0.5:0.25"
+    assert "g_over_gc" not in manifest["config"]
+    assert (out1 / "converge.csv").read_bytes() == (out2 / "converge.csv").read_bytes()
+    out3 = tmp_path / "both"
+    assert main(argv + ["--g-over-gc", "0.5", "--out", str(out3)]) == 2
+    assert "g (from flag) and g_over_gc (from flag)" in capsys.readouterr().err
+    assert not out3.exists()
+
+
 def test_phase_diagram_command(tmp_path):
     out = tmp_path / "pd"
     rc = main(
@@ -474,17 +494,42 @@ def test_phase_diagram_sentinel_failure(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "args",
-    [["--g-over-gc", "1:1:0.1"], ["--pairs", "30", "--n-trunc", "10"]],
-    ids=["one_point_grid", "pair_beyond_truncation"],
+    "argv",
+    [
+        ["phase-diagram", "--delta-grid", "2", "--g-over-gc", "1:1:0.1"],
+        ["phase-diagram", "--delta-grid", "2", "--pairs", "30", "--n-trunc", "10"],
+        ["parity", "--delta", "1", "--g", "-0.1"],
+        ["spectrum", "--delta", "1", "--g", "0.1", "--n-trunc", "10", "--levels", "40"],
+        ["phase-diagram", "--delta-grid", "-1"],
+        ["phase-diagram", "--delta-grid", "2", "--g-over-gc", "0.5"],
+        ["parity", "--delta", "1", "--g", "0.5", "--n-trunc", "10", "--eps-par", "2"],
+        ["converge", "--delta", "1", "--g-over-gc", "0.5", "--truncs", "1,10", "--ref", "20"],
+        ["converge", "--delta", "1", "--truncs", "10", "--ref", "20", "--levels", "0"],
+        ["parity", "--delta", "1", "--g", "0.5", "--n-trunc", "10", "--workers", "-1"],
+        ["wavefunction", "--delta", "1", "--g", "0.5", "--n-trunc", "10", "--xi-step", "-1"],
+    ],
+    ids=[
+        "one_point_grid",
+        "pair_beyond_truncation",
+        "negative_coupling",
+        "levels_beyond_truncation",
+        "negative_delta_grid",
+        "scalar_ratio",
+        "eps_par_out_of_range",
+        "candidate_truncation_below_two",
+        "zero_levels",
+        "negative_workers",
+        "negative_xi_step",
+    ],
 )
-def test_phase_diagram_rejects_unscannable_input_before_writing(tmp_path, capsys, args):
+def test_phase_diagram_rejects_unscannable_input_before_writing(tmp_path, capsys, argv):
+    # every rejected job exits 2 before writing anything, even its --out
     out = tmp_path / "never"
-    assert main(["phase-diagram", "--delta-grid", "2", *args, "--out", str(out)]) == 2
+    assert main([*argv, "--out", str(out)]) == 2
     assert not out.exists()
     err = capsys.readouterr().err
     assert "config error" in err
-    if "--pairs" in args:
+    if "--pairs" in argv:
         assert "pair 30" in err
 
 

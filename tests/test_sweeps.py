@@ -278,6 +278,38 @@ def test_phase_scan_solves_each_point_once(monkeypatch):
     assert len(calls) == 3
 
 
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda: coupling_sweep(
+            2.0, ratio_grid=[0.5], n_levels=2, trunc=Truncation(10), eps_par=2.0, workers=1
+        ),
+        lambda: phase_boundary_scan(
+            [2.0], (0,), ratio_grid=[0.1, 0.3], trunc=Truncation(10), eps_par=2.0, workers=1
+        ),
+        lambda: convergence_sweep(
+            1.0, ratio_grid=[0.5], trunc_list=[1, 10], ref_trunc=20, n_levels=2, workers=1
+        ),
+        lambda: convergence_sweep(
+            1.0, ratio_grid=[0.5], trunc_list=[10], ref_trunc=20, n_levels=30, workers=1
+        ),
+    ],
+    ids=["coupling_eps_par", "phase_eps_par", "candidate_below_two", "levels_beyond_candidate"],
+)
+def test_bad_sweep_arguments_solve_nothing(monkeypatch, sweep):
+    calls = []
+    for name in ("eigh", "eigh_tridiagonal"):
+
+        def counting(*args, _solver=getattr(scipy.linalg, name), **kwargs):
+            calls.append(1)
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, name, counting)
+    with pytest.raises(ValueError):
+        sweep()
+    assert calls == []
+
+
 def test_resolve_workers_env_cap(monkeypatch):
     monkeypatch.delenv("RABI_LAB_THREADS", raising=False)
     assert resolve_workers(None) == 1
