@@ -10,7 +10,9 @@ The CLI checks only what the library cannot see: required options, one
 coupling source (a built-in default coupling yields to a given one),
 scalar couplings for single-point commands, and the table format.  Every
 physics and grid argument is checked by the library before its first
-solve, and its ValueError maps to exit 2 like a configuration error.
+solve, and its ValueError maps to exit 2 like a configuration error, with
+the library's parameter names (ratio_grid, trunc_list, ...) replaced by
+the options that set them.
 
 Exit codes: 0 success, 2 configuration or I/O error (nothing is written
 unless the error comes from writing), 3 solver failure, 4 sentinel
@@ -20,6 +22,7 @@ failure (results are still written, flagged).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -216,6 +219,18 @@ _COMMANDS = {
         "workers": None,
     },
 }
+
+
+# library parameter named in an error message -> the option that sets it
+_PARAMETER_OPTIONS = {"ratio_grid": "g_over_gc", "trunc_list": "truncs", "n_levels": "levels"}
+
+
+def _in_option_terms(message: str, command: str) -> str:
+    """A library error message with its parameter names replaced by the command's options."""
+    for name, key in _PARAMETER_OPTIONS.items():
+        if key in _COMMANDS[command]:
+            message = re.sub(rf"\b{name}\b", f"--{key.replace('_', '-')}", message)
+    return message
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -428,10 +443,10 @@ def _run_wavefunction(cfg: ResolvedConfig, out_dir: Path, t0: float) -> int:
     files = []
     summary = []
     fmt = values["format"]
-    for level in range(values["levels"]):
+    xi = grid.xi.tolist()
+    for level, wf in enumerate(position_wavefunction(spectrum.eigenvectors, grid, trunc)):
         vec = spectrum.eigenvectors[:, level]
-        wf = position_wavefunction(vec, grid, trunc)
-        rows = list(zip(grid.xi.tolist(), wf.psi_plus.tolist(), wf.psi_minus.tolist()))
+        rows = list(zip(xi, wf.psi_plus.tolist(), wf.psi_minus.tolist()))
         files.append(
             write_table(
                 out_dir / f"wavefunction_level{level}.{fmt}",
@@ -492,7 +507,7 @@ def main(argv: Optional[list] = None) -> int:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"config error: {_in_option_terms(str(exc), cfg.command)}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -17,7 +17,6 @@ whatever mixture the solver produced; no re-rotation is applied here.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -53,12 +52,11 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveMeta:
-    """Provenance of one solve: path, size, scale and wall time."""
+    """Provenance of one solve: path, size and scale."""
 
     path: str
     dim: int
     scale: float
-    wall_time_s: float
 
 
 @dataclass
@@ -137,7 +135,7 @@ def _contract(
     return report, residuals
 
 
-def _finalize(w: np.ndarray, v: np.ndarray, operator, path: str, t0: float) -> Spectrum:
+def _finalize(w: np.ndarray, v: np.ndarray, operator, path: str) -> Spectrum:
     """Tie-order the raw eigenpairs, enforce the contract, wrap as a Spectrum."""
     order = np.lexsort((np.argmax(np.abs(v) > 1e-12, axis=0), w))
     w, v = w[order], v[:, order]
@@ -150,15 +148,12 @@ def _finalize(w: np.ndarray, v: np.ndarray, operator, path: str, t0: float) -> S
             f"max norm defect {report.max_norm_defect:.3e}, "
             f"max overlap {report.max_ortho_defect:.3e}"
         )
-    meta = SolveMeta(
-        path=path, dim=v.shape[0], scale=scale, wall_time_s=time.perf_counter() - t0
-    )
     return Spectrum(
         eigenvalues=w,
         eigenvectors=v,
         residual_norms=residuals,
         near_degenerate=np.diff(w) < DEGENERACY_RTOL * scale,
-        meta=meta,
+        meta=SolveMeta(path=path, dim=v.shape[0], scale=scale),
     )
 
 
@@ -169,7 +164,6 @@ def eig_sym_dense(matrix: np.ndarray, k: Optional[int] = None) -> Spectrum:
     builders guarantee; anything else is rejected rather than silently
     symmetrized.  k = None solves for the full spectrum.
     """
-    t0 = time.perf_counter()
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
@@ -184,14 +178,13 @@ def eig_sym_dense(matrix: np.ndarray, k: Optional[int] = None) -> Spectrum:
         w, v = scipy.linalg.eigh(m, subset_by_index=(0, k - 1), driver="evr")
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SolverError(f"dense solve failed for dim={dim}: {exc}") from exc
-    return _finalize(w, v, m, "dense-evr", t0)
+    return _finalize(w, v, m, "dense-evr")
 
 
 def eig_sym_tridiag(
     diag: np.ndarray, offdiag: np.ndarray, k: Optional[int] = None
 ) -> Spectrum:
     """Lowest k eigenpairs of a real symmetric tridiagonal matrix."""
-    t0 = time.perf_counter()
     d = np.asarray(diag, dtype=float)
     e = np.asarray(offdiag, dtype=float)
     if d.ndim != 1 or e.ndim != 1 or len(e) != len(d) - 1:
@@ -207,7 +200,7 @@ def eig_sym_tridiag(
         w, v = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SolverError(f"tridiagonal solve failed for dim={dim}: {exc}") from exc
-    return _finalize(w, v, (d, e), "tridiag", t0)
+    return _finalize(w, v, (d, e), "tridiag")
 
 
 def residual_report(

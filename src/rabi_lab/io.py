@@ -5,6 +5,11 @@ so a failed job never leaves partial or truncated artifacts behind.
 Floats are rendered with 17 significant digits, which round-trips every
 double exactly; byte-for-byte table equality is therefore a meaningful
 reproducibility check and is used as one.
+
+CSV rows are rendered with one format template per row type, built once
+per table from the tuple of cell types: ``%d`` for bool and integer cells,
+``%.17g`` for floats (the same text as ``format(float(x), ".17g")``, nan,
+inf and -0 included) and ``%s`` for strings.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "atomic_write_bytes",
-    "format_number",
     "render_table",
     "write_manifest",
     "write_table",
@@ -29,17 +33,15 @@ __all__ = [
 MANIFEST_NAME = "manifest.json"
 
 
-def format_number(value) -> str:
-    """Render one cell: ints verbatim, floats with 17 significant digits."""
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    if isinstance(value, str):
-        return value
-    raise TypeError(f"unsupported cell type {type(value).__name__}")
+def _cell_spec(cls: type) -> str:
+    """The one cell-type rule: a %-conversion per cell type."""
+    if issubclass(cls, (bool, np.bool_, int, np.integer)):
+        return "%d"
+    if issubclass(cls, (float, np.floating)):
+        return "%.17g"
+    if issubclass(cls, str):
+        return "%s"
+    raise TypeError(f"unsupported cell type {cls.__name__}")
 
 
 def render_table(columns: Sequence[str], rows: Sequence[Sequence], fmt: str = "csv") -> bytes:
@@ -50,7 +52,13 @@ def render_table(columns: Sequence[str], rows: Sequence[Sequence], fmt: str = "c
             raise ValueError(f"row {i} has {len(row)} cells, expected {width}")
     if fmt == "csv":
         lines = [",".join(columns)]
-        lines.extend(",".join(format_number(cell) for cell in row) for row in rows)
+        templates: dict = {}  # tuple of cell types -> row template
+        for row in rows:
+            row = tuple(row)
+            kinds = tuple(map(type, row))
+            if kinds not in templates:
+                templates[kinds] = ",".join(map(_cell_spec, kinds))
+            lines.append(templates[kinds] % row)
         return ("\n".join(lines) + "\n").encode("ascii")
     if fmt == "json":
         payload = {

@@ -10,7 +10,12 @@ recurrence
 which keeps every value of order one instead of routing through the 2**n n!
 factors that overflow almost immediately.  A two-component wavefunction
 psi_s(xi) = sum_n c_{n,s} phi_n(xi) follows by contraction with the state's
-Fock amplitudes in each spin component.
+Fock amplitudes in each spin component.  ``position_wavefunction`` takes a
+block of states and builds one Hermite table per call, shared by every
+column.  It contracts each column separately (a per-column gemv), because
+one gemm over the whole block is not bitwise-equal to the per-vector
+product, and exported tables must not depend on how many levels were
+asked for.
 
 In this representation the conserved parity acts as reflection xi -> -xi
 together with the sign s of the spin component, so the mismatch between a
@@ -131,27 +136,30 @@ class TwoComponentWavefunction:
 
 
 def position_wavefunction(
-    state, grid: PositionGrid, trunc: Truncation
-) -> TwoComponentWavefunction:
-    """Contract Fock amplitudes against the oscillator functions.
+    vectors, grid: PositionGrid, trunc: Truncation
+) -> list[TwoComponentWavefunction]:
+    """Contract each column of a (dim, k) amplitude block against the oscillator functions.
 
-    Raises when the window clips the state: an endpoint amplitude above
+    Raises when the window clips a state: an endpoint amplitude above
     BOUNDARY_AMPLITUDE_TOL means the grid is too small for this coupling
     and any quadrature on it would be quietly wrong.
     """
-    v = np.asarray(state, dtype=float).ravel()
-    if v.size != trunc.dim:
-        raise ValueError(f"state length {v.size} does not match dimension {trunc.dim}")
+    v = np.asarray(vectors, dtype=float)
+    if v.ndim != 2 or v.shape[0] != trunc.dim:
+        raise ValueError(f"states must form a ({trunc.dim}, k) block, got shape {v.shape}")
     table = hermite_basis(grid, trunc.n_trunc)
-    psi_plus = v[0::2] @ table
-    psi_minus = v[1::2] @ table
-    wf = TwoComponentWavefunction(grid=grid, psi_plus=psi_plus, psi_minus=psi_minus)
-    if wf.boundary_amplitude >= BOUNDARY_AMPLITUDE_TOL:
-        raise ValueError(
-            f"wavefunction amplitude {wf.boundary_amplitude:.3e} at the grid edge "
-            f"xi = +-{grid.xi_max}; enlarge xi_max for this coupling"
+    wfs = []
+    for j in range(v.shape[1]):
+        wf = TwoComponentWavefunction(
+            grid=grid, psi_plus=v[0::2, j] @ table, psi_minus=v[1::2, j] @ table
         )
-    return wf
+        if wf.boundary_amplitude >= BOUNDARY_AMPLITUDE_TOL:
+            raise ValueError(
+                f"level {j}: wavefunction amplitude {wf.boundary_amplitude:.3e} at the grid "
+                f"edge xi = +-{grid.xi_max}; enlarge xi_max for this coupling"
+            )
+        wfs.append(wf)
+    return wfs
 
 
 def symmetry_defect(wf: TwoComponentWavefunction) -> float:

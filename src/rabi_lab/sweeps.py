@@ -377,7 +377,10 @@ def convergence_sweep(
     """
     t0 = time.perf_counter()
     grid, meta = _coupling_axis(delta, g_grid, ratio_grid)
-    trunc_list = [Truncation(int(n)).n_trunc for n in trunc_list]
+    try:
+        trunc_list = [Truncation(int(n)).n_trunc for n in trunc_list]
+    except ValueError as exc:
+        raise ValueError(f"trunc_list: {exc}") from None
     if not trunc_list:
         raise ValueError("trunc_list must not be empty")
     ref_trunc = int(ref_trunc)

@@ -261,9 +261,8 @@ def test_wavefunction_parity_correspondence(strong_sweep):
         params = ModelParams(DELTA_STRONG, ratio * gc)
         sp = eig_sym_dense(build_hamiltonian(params, STRONG_TRUNC), k=STRONG_LEVELS)
         grid = PositionGrid.default_for(params.g)
-        for lv in (0, 1):
+        for lv, wf in enumerate(position_wavefunction(sp.eigenvectors[:, :2], grid, STRONG_TRUNC)):
             v = sp.eigenvectors[:, lv]
-            wf = position_wavefunction(v, grid, STRONG_TRUNC)
             gap = abs(symmetry_defect(wf) - (1.0 - abs(parity_expectation(v, STRONG_TRUNC))))
             ok = ok and gap <= 1e-4
             checks.append(f"r={ratio} lv={lv} defect gap {gap:.1e}")

@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 import rabi_lab.cli as cli
+from rabi_lab import position
 from rabi_lab.cli import ConfigError, GridSpec, main, parse_config
 from rabi_lab.eigensolve import SolverError
-from rabi_lab.io import format_number
-from rabi_lab.sweeps import PARITY_COLUMNS
+from rabi_lab.io import render_table
+from rabi_lab.model import ModelParams, Truncation
+from rabi_lab.position import PositionGrid
+from rabi_lab.sweeps import PARITY_COLUMNS, solve_point
 
 
 def _read_csv(path):
@@ -129,7 +132,7 @@ def test_odd_level_count_rejected(tmp_path, capsys):
     argv = ["parity", "--delta", "1", "--g", "1", "--levels", "3", "--out", str(out)]
     assert main(argv) == 2
     assert not out.exists()
-    assert "n_levels must be even" in capsys.readouterr().err
+    assert "--levels must be even" in capsys.readouterr().err
 
 
 def test_exit_code_config_error(tmp_path, capsys):
@@ -280,7 +283,7 @@ def test_csv_tokens_round_trip_exactly(tmp_path):
     for row in rows:
         for token in row:
             value = float(token) if ("." in token or "e" in token) else int(token)
-            assert format_number(value) == token
+            assert render_table(("x",), [(value,)]) == f"x\n{token}\n".encode("ascii")
 
 
 def _replay(out1, out2):
@@ -383,6 +386,36 @@ def test_wavefunction_outputs(tmp_path):
     assert len(rows) == 2
     for row in rows:
         assert abs(float(row[5]) - 1.0) <= 1e-6
+
+
+def test_wavefunction_builds_one_hermite_table(tmp_path, monkeypatch):
+    # one table serves every level, and each level's file is the per-state
+    # contraction v[0::2] @ table, v[1::2] @ table rendered cell by cell
+    calls = []
+    original = position.hermite_basis
+
+    def counted(grid, n_max):
+        calls.append(n_max)
+        return original(grid, n_max)
+
+    monkeypatch.setattr(position, "hermite_basis", counted)
+    out = tmp_path / "wf"
+    argv = ["wavefunction", "--delta", "1", "--g-over-gc", "1.5", "--n-trunc", "80"]
+    assert main([*argv, "--levels", "8", "--out", str(out)]) == 0
+    assert calls == [80]
+    params = ModelParams.from_ratio(1.0, 1.5)
+    grid = PositionGrid.default_for(params.g)
+    table = original(grid, 80)
+    vectors = solve_point(params, Truncation(80), 8).eigenvectors
+    for level in range(8):
+        v = vectors[:, level]
+        columns = (grid.xi, v[0::2] @ table, v[1::2] @ table)
+        lines = ["xi,psi_plus,psi_minus"]
+        lines += [
+            ",".join(format(float(c[i]), ".17g") for c in columns) for i in range(grid.npoints)
+        ]
+        expected = "\n".join(lines) + "\n"
+        assert (out / f"wavefunction_level{level}.csv").read_text(encoding="ascii") == expected
 
 
 def test_converge_command(tmp_path):
@@ -494,19 +527,25 @@ def test_phase_diagram_sentinel_failure(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, named",
     [
-        ["phase-diagram", "--delta-grid", "2", "--g-over-gc", "1:1:0.1"],
-        ["phase-diagram", "--delta-grid", "2", "--pairs", "30", "--n-trunc", "10"],
-        ["parity", "--delta", "1", "--g", "-0.1"],
-        ["spectrum", "--delta", "1", "--g", "0.1", "--n-trunc", "10", "--levels", "40"],
-        ["phase-diagram", "--delta-grid", "-1"],
-        ["phase-diagram", "--delta-grid", "2", "--g-over-gc", "0.5"],
-        ["parity", "--delta", "1", "--g", "0.5", "--n-trunc", "10", "--eps-par", "2"],
-        ["converge", "--delta", "1", "--g-over-gc", "0.5", "--truncs", "1,10", "--ref", "20"],
-        ["converge", "--delta", "1", "--truncs", "10", "--ref", "20", "--levels", "0"],
-        ["parity", "--delta", "1", "--g", "0.5", "--n-trunc", "10", "--workers", "-1"],
-        ["wavefunction", "--delta", "1", "--g", "0.5", "--n-trunc", "10", "--xi-step", "-1"],
+        (["phase-diagram", "--delta-grid", "2", "--g-over-gc", "1:1:0.1"], "--g-over-gc"),
+        (["phase-diagram", "--delta-grid", "2", "--pairs", "30", "--n-trunc", "10"], "pair 30"),
+        (["parity", "--delta", "1", "--g", "-0.1"], None),
+        (["spectrum", "--delta", "1", "--g", "0.1", "--n-trunc", "10", "--levels", "40"], None),
+        (["phase-diagram", "--delta-grid", "-1"], None),
+        (["phase-diagram", "--delta-grid", "2", "--g-over-gc", "0.5"], "--g-over-gc"),
+        (["parity", "--delta", "1", "--g", "0.5", "--n-trunc", "10", "--eps-par", "2"], None),
+        (
+            ["converge", "--delta", "1", "--g-over-gc", "0.5", "--truncs", "1,10", "--ref", "20"],
+            "--truncs",
+        ),
+        (["converge", "--delta", "1", "--truncs", "10", "--ref", "20", "--levels", "0"], None),
+        (["parity", "--delta", "1", "--g", "0.5", "--n-trunc", "10", "--workers", "-1"], None),
+        (
+            ["wavefunction", "--delta", "1", "--g", "0.5", "--n-trunc", "10", "--xi-step", "-1"],
+            None,
+        ),
     ],
     ids=[
         "one_point_grid",
@@ -522,15 +561,16 @@ def test_phase_diagram_sentinel_failure(tmp_path):
         "negative_xi_step",
     ],
 )
-def test_phase_diagram_rejects_unscannable_input_before_writing(tmp_path, capsys, argv):
-    # every rejected job exits 2 before writing anything, even its --out
+def test_phase_diagram_rejects_unscannable_input_before_writing(tmp_path, capsys, argv, named):
+    # every rejected job exits 2 before writing anything, even its --out;
+    # a named option is the one the user set, not the library parameter it feeds
     out = tmp_path / "never"
     assert main([*argv, "--out", str(out)]) == 2
     assert not out.exists()
     err = capsys.readouterr().err
     assert "config error" in err
-    if "--pairs" in argv:
-        assert "pair 30" in err
+    if named is not None:
+        assert named in err
 
 
 def test_version_flag():

@@ -211,7 +211,7 @@ def test_contract_violation_raises(monkeypatch, solver):
         eigenvectors=v,
         residual_norms=np.zeros(len(w)),
         near_degenerate=np.zeros(len(w) - 1, dtype=bool),
-        meta=SolveMeta(path=solver, dim=v.shape[0], scale=1.0, wall_time_s=0.0),
+        meta=SolveMeta(path=solver, dim=v.shape[0], scale=1.0),
     )
     rep = residual_report(operator, spectrum)
     assert not rep.passed

@@ -9,31 +9,78 @@ import pytest
 
 from rabi_lab.io import (
     atomic_write_bytes,
-    format_number,
     render_table,
     write_manifest,
     write_table,
 )
 
 
-def test_format_number_types():
-    assert format_number(True) == "1"
-    assert format_number(False) == "0"
-    assert format_number(7) == "7"
-    assert format_number(np.int64(-3)) == "-3"
-    assert format_number("plain") == "plain"
-    with pytest.raises(TypeError):
-        format_number(object())
+def _reference_cell(value) -> str:
+    """The per-cell rule every CSV token is pinned to."""
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    if isinstance(value, str):
+        return value
+    raise AssertionError(f"no reference for {type(value).__name__}")
 
 
-def test_format_number_floats_round_trip():
-    values = [0.1, 1.0 / 3.0, 2.0, -0.0, 1e-300, 6.02e23, math.pi, 1e-17]
+def _token(value) -> str:
+    header, token, end = render_table(("x",), [(value,)]).decode("ascii").split("\n")
+    assert (header, end) == ("x", "")
+    return token
+
+
+CELLS = [
+    True,
+    np.False_,
+    7,
+    2**70,
+    np.int64(-3),
+    0.1,
+    np.float64(0.25),
+    np.float32(0.1),
+    "plain",
+    math.nan,
+    math.inf,
+    -math.inf,
+    -0.0,
+    5e-324,
+    np.float32(-np.inf),
+]
+
+
+def test_render_csv_cell_types():
+    # every cell type in every column position, so rows mix types
+    width = 8
+    rows = [tuple(CELLS[(i + j) % len(CELLS)] for j in range(width)) for i in range(len(CELLS))]
+    # the phase table's shape: a NaN onset float next to its int flags
+    gc = math.sqrt(50.0) / 2.0
+    rows += [
+        (50.0, gc, 0, 1.43 * gc, 1.43, 0.01, 1, 0),
+        (50.0, gc, 3, math.nan, math.nan, 0.01, 0, 1),
+    ]
+    columns = tuple(f"c{j}" for j in range(width))
+    expected = "\n".join([",".join(columns)] + [",".join(map(_reference_cell, r)) for r in rows])
+    assert render_table(columns, rows) == (expected + "\n").encode("ascii")
+    for bad in (object(), None, 1j):
+        with pytest.raises(TypeError):
+            render_table(("a", "b"), [(1, 0.5), (2, bad)])
+
+
+def test_render_csv_floats_round_trip():
+    values = [0.1, 1.0 / 3.0, 2.0, -0.0, 1e-300, 6.02e23, math.pi, 1e-17, 5e-324]
     for v in values:
-        token = format_number(v)
+        token = _token(v)
         assert float(token) == v
+        assert math.copysign(1.0, float(token)) == math.copysign(1.0, v)
         # idempotent: re-rendering the parsed value changes nothing
-        assert format_number(float(token)) == token
-    assert format_number(np.float64(0.25)) == "0.25"
+        assert _token(float(token)) == token
+    assert _token(np.float64(0.25)) == "0.25"
+    assert [_token(v) for v in (math.nan, math.inf, -math.inf)] == ["nan", "inf", "-inf"]
 
 
 def test_render_csv_layout():

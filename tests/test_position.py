@@ -89,7 +89,7 @@ def test_wavefunction_of_uncoupled_ground_state():
     tr = Truncation(30)
     sp = eig_sym_dense(build_hamiltonian(params, tr), k=1)
     grid = PositionGrid(10.0, 0.02)
-    wf = position_wavefunction(sp.eigenvectors[:, 0], grid, tr)
+    (wf,) = position_wavefunction(sp.eigenvectors, grid, tr)
     # ground state at g=0 is |n=0, s=-1>: all weight in the minus component
     assert np.abs(wf.psi_plus).max() <= 1e-14
     peak = np.abs(wf.psi_minus).max()
@@ -103,27 +103,28 @@ def test_wavefunction_rejects_clipped_grid():
     tr = Truncation(300)
     sp = eig_sym_dense(build_hamiltonian(params, tr), k=1)
     with pytest.raises(ValueError):
-        position_wavefunction(sp.eigenvectors[:, 0], PositionGrid(3.0, 0.02), tr)
+        position_wavefunction(sp.eigenvectors, PositionGrid(3.0, 0.02), tr)
 
 
 def test_wavefunction_length_mismatch():
     tr = Truncation(10)
     with pytest.raises(ValueError):
-        position_wavefunction(np.zeros(7), PositionGrid(5.0, 0.1), tr)
+        position_wavefunction(np.zeros((7, 1)), PositionGrid(5.0, 0.1), tr)
+    # a block, not a single vector
+    with pytest.raises(ValueError):
+        position_wavefunction(np.zeros(tr.dim), PositionGrid(5.0, 0.1), tr)
 
 
 def test_defect_zero_for_pure_and_one_for_equal_mixture():
     tr = Truncation(12)
     grid = PositionGrid(10.0, 0.02)
-    pure = np.zeros(tr.dim)
-    pure[basis_index(0, 1)] = 1.0
-    wf = position_wavefunction(pure, grid, tr)
-    assert symmetry_defect(wf) <= 1e-10
-    mixed = np.zeros(tr.dim)
-    mixed[basis_index(0, 1)] = 1.0 / math.sqrt(2.0)
-    mixed[basis_index(0, -1)] = 1.0 / math.sqrt(2.0)
-    wf = position_wavefunction(mixed, grid, tr)
-    assert abs(symmetry_defect(wf) - 1.0) <= 1e-6
+    states = np.zeros((tr.dim, 2))
+    states[basis_index(0, 1), 0] = 1.0
+    states[basis_index(0, 1), 1] = 1.0 / math.sqrt(2.0)
+    states[basis_index(0, -1), 1] = 1.0 / math.sqrt(2.0)
+    pure, mixed = position_wavefunction(states, grid, tr)
+    assert symmetry_defect(pure) <= 1e-10
+    assert abs(symmetry_defect(mixed) - 1.0) <= 1e-6
 
 
 def test_defect_matches_parity_purity():
@@ -131,9 +132,8 @@ def test_defect_matches_parity_purity():
     tr = Truncation(120)
     sp = eig_sym_dense(build_hamiltonian(params, tr), k=2)
     grid = PositionGrid.default_for(params.g)
-    for lv in (0, 1):
+    for lv, wf in enumerate(position_wavefunction(sp.eigenvectors, grid, tr)):
         v = sp.eigenvectors[:, lv]
-        wf = position_wavefunction(v, grid, tr)
         defect = symmetry_defect(wf)
         purity_gap = 1.0 - abs(parity_expectation(v, tr))
         assert abs(defect - purity_gap) <= 1e-4
