@@ -10,9 +10,14 @@ The CLI checks only what the library cannot see: required options, one
 coupling source (a built-in default coupling yields to a given one),
 scalar couplings for single-point commands, and the table format.  Every
 physics and grid argument is checked by the library before its first
-solve, and its ValueError maps to exit 2 like a configuration error, with
-the library's parameter names (ratio_grid, trunc_list, ...) replaced by
-the options that set them.
+solve, and its ValueError maps to exit 2 like a configuration error.
+
+One table, ``_BINDINGS``, says which library parameter each option feeds
+and how its parsed value is converted: a range or a scalar becomes grid
+values, n_trunc a ``Truncation``.  A sweep command's one sweep call is
+built from it, and so is the wording of exit-2 messages: the parameter
+each option of the command feeds is named by the option's flag
+(``--ref 20 is below the largest of --truncs, 40``).
 
 Exit codes: 0 success, 2 configuration or I/O error (nothing is written
 unless the error comes from writing), 3 solver failure, 4 sentinel
@@ -38,7 +43,7 @@ from .eigensolve import (
     SolverError,
 )
 from .io import write_manifest, write_table
-from .model import ModelParams, Truncation
+from .model import ModelParams, Truncation, shifted_energy
 from .parity import DEFAULT_EPS_PAR, parity_expectation
 from .position import (
     DEFAULT_STEP,
@@ -221,16 +226,49 @@ _COMMANDS = {
 }
 
 
-# library parameter named in an error message -> the option that sets it
-_PARAMETER_OPTIONS = {"ratio_grid": "g_over_gc", "trunc_list": "truncs", "n_levels": "levels"}
+def _grid(value):
+    """Values of a range, or a scalar as a one-point grid."""
+    return value.values() if isinstance(value, GridSpec) else [float(value)]
+
+
+# option -> (library parameter it feeds, conversion of its parsed value)
+_BINDINGS = {
+    "delta": ("delta", float),
+    "g": ("g_grid", _grid),
+    "g_over_gc": ("ratio_grid", _grid),
+    "n_trunc": ("trunc", Truncation),
+    "levels": ("n_levels", int),
+    "eps_par": ("eps_par", float),
+    "truncs": ("trunc_list", list),
+    "ref": ("ref_trunc", int),
+    "delta_grid": ("delta_grid", _grid),
+    "pairs": ("pair_indices", list),
+    "xi_max": ("xi_max", float),
+    "xi_step": ("step", float),
+    "workers": ("workers", int),
+}
+
+# table command -> name of the cli global it calls, looked up per call so
+# that a wrapper installed on this module is the one called
+_SWEEPS = {
+    "spectrum": "coupling_sweep",
+    "parity": "coupling_sweep",
+    "converge": "convergence_sweep",
+    "phase-diagram": "phase_boundary_scan",
+}
 
 
 def _in_option_terms(message: str, command: str) -> str:
-    """A library error message with its parameter names replaced by the command's options."""
-    for name, key in _PARAMETER_OPTIONS.items():
-        if key in _COMMANDS[command]:
-            message = re.sub(rf"\b{name}\b", f"--{key.replace('_', '-')}", message)
-    return message
+    """A library error message with the parameters the command's options feed as flags.
+
+    One pass, so a flag it inserts (--g-over-gc) is never rewritten again.
+    """
+    flags = {
+        _BINDINGS[key][0]: f"--{key.replace('_', '-')}"
+        for key in _COMMANDS[command]
+        if key in _BINDINGS
+    }
+    return re.sub(rf"\b({'|'.join(flags)})\b", lambda m: flags[m[1]], message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -318,9 +356,6 @@ def _validate(command: str, values: dict, provenance: dict) -> None:
     """Command-line rules only; the library checks every physics and grid value."""
     if command == "phase-diagram":
         _require(values, "delta_grid")
-        for key in ("delta_grid", "g_over_gc"):
-            if not isinstance(values[key], GridSpec):
-                values[key] = GridSpec(values[key], values[key], 1.0)
     else:
         _require(values, "delta")
         if values["g"] is not None and provenance["g_over_gc"] == "default":
@@ -341,15 +376,10 @@ def _validate(command: str, values: dict, provenance: dict) -> None:
     _require(values, "out")
 
 
-def _coupling_grid(values: dict) -> dict:
-    """Sweep kwargs selecting the coupling axis: g_grid or ratio_grid."""
-    key, axis = ("g", "g_grid") if values["g"] is not None else ("g_over_gc", "ratio_grid")
-    value = values[key]
-    return {axis: value.values() if isinstance(value, GridSpec) else [float(value)]}
-
-
-def _manifest_skeleton(cfg: ResolvedConfig, t0: float) -> dict:
-    return {
+def _finish(
+    cfg: ResolvedConfig, out_dir: Path, files: list, extra: dict, failures, t0: float
+) -> int:
+    manifest = {
         "tool": {"name": "rabi-lab", "version": __version__},
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "command": cfg.command,
@@ -363,18 +393,9 @@ def _manifest_skeleton(cfg: ResolvedConfig, t0: float) -> dict:
             "sentinel_threshold": SENTINEL_THRESHOLD,
         },
         "wall_time_s": time.perf_counter() - t0,
-    }
-
-
-def _finish(
-    cfg: ResolvedConfig, out_dir: Path, files: list, extra: dict, failures, t0: float
-) -> int:
-    manifest = _manifest_skeleton(cfg, t0)
-    manifest.update(extra)
-    manifest["files"] = files
-    manifest["sentinel"] = {
-        "all_passed": not failures,
-        "failures": failures,
+        **extra,
+        "files": files,
+        "sentinel": {"all_passed": not failures, "failures": failures},
     }
     write_manifest(out_dir, manifest)
     if failures:
@@ -389,35 +410,13 @@ def _finish(
 
 def _run_sweep(cfg: ResolvedConfig, out_dir: Path, t0: float) -> int:
     """Table commands: one sweep, one table, sentinel failures from its meta."""
-    values = cfg.values
-    if cfg.command == "phase-diagram":
-        result = phase_boundary_scan(
-            values["delta_grid"].values(),
-            values["pairs"],
-            ratio_grid=values["g_over_gc"].values(),
-            eps_par=values["eps_par"],
-            trunc=Truncation(values["n_trunc"]),
-            workers=values.get("workers"),
-        )
-    elif cfg.command == "converge":
-        result = convergence_sweep(
-            values["delta"],
-            trunc_list=values["truncs"],
-            ref_trunc=values["ref"],
-            n_levels=values["levels"],
-            workers=values.get("workers"),
-            **_coupling_grid(values),
-        )
-    else:
-        result = coupling_sweep(
-            values["delta"],
-            n_levels=values["levels"],
-            trunc=Truncation(values["n_trunc"]),
-            eps_par=values["eps_par"],
-            workers=values.get("workers"),
-            **_coupling_grid(values),
-        )
-    fmt = values["format"]
+    kwargs = {}
+    for key, value in cfg.values.items():
+        if key in _BINDINGS and value is not None:
+            parameter, convert = _BINDINGS[key]
+            kwargs[parameter] = convert(value)
+    result = globals()[_SWEEPS[cfg.command]](**kwargs)
+    fmt = cfg.values["format"]
     name = cfg.command.replace("-", "_")
     entry = write_table(out_dir / f"{name}.{fmt}", result.columns, result.rows, fmt)
     return _finish(
@@ -460,7 +459,7 @@ def _run_wavefunction(cfg: ResolvedConfig, out_dir: Path, t0: float) -> int:
             (
                 level,
                 energy,
-                energy + params.g * params.g,
+                shifted_energy(energy, params),
                 parity_expectation(vec, trunc),
                 symmetry_defect(wf),
                 wf.quadrature_norm(),

@@ -6,10 +6,12 @@ Floats are rendered with 17 significant digits, which round-trips every
 double exactly; byte-for-byte table equality is therefore a meaningful
 reproducibility check and is used as one.
 
-CSV rows are rendered with one format template per row type, built once
-per table from the tuple of cell types: ``%d`` for bool and integer cells,
-``%.17g`` for floats (the same text as ``format(float(x), ".17g")``, nan,
-inf and -0 included) and ``%s`` for strings.
+One cell-type rule, ``_cell_spec``, serves both formats: ``%d`` for bool
+and integer cells, ``%.17g`` for floats (the same text as
+``format(float(x), ".17g")``, nan, inf and -0 included) and ``%s`` for
+strings; any other cell raises TypeError.  CSV rows are rendered with one
+format template per row type, built once per table from the tuple of cell
+types; JSON cells are ints, floats (NaN as null) and strings by that rule.
 """
 
 from __future__ import annotations
@@ -70,11 +72,10 @@ def render_table(columns: Sequence[str], rows: Sequence[Sequence], fmt: str = "c
 
 
 def _json_cell(value):
-    if isinstance(value, (bool, np.bool_)):
+    spec = _cell_spec(type(value))
+    if spec == "%d":
         return int(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
+    if spec == "%.17g":
         f = float(value)
         # JSON has no NaN literal; keep the cell parseable everywhere
         return None if f != f else f

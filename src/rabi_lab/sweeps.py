@@ -383,11 +383,9 @@ def convergence_sweep(
         raise ValueError(f"trunc_list: {exc}") from None
     if not trunc_list:
         raise ValueError("trunc_list must not be empty")
-    ref_trunc = int(ref_trunc)
-    if ref_trunc < max(trunc_list):
-        raise ValueError(
-            f"reference truncation {ref_trunc} is below max candidate {max(trunc_list)}"
-        )
+    ref_trunc, largest = int(ref_trunc), max(trunc_list)
+    if ref_trunc < largest:
+        raise ValueError(f"ref_trunc {ref_trunc} is below the largest of trunc_list, {largest}")
     n_levels = int(n_levels)
     if not 1 <= n_levels <= 2 * min(trunc_list):
         raise ValueError(f"n_levels must be in [1, {2 * min(trunc_list)}], got {n_levels}")
@@ -451,7 +449,7 @@ def phase_boundary_scan(
         raise ValueError("delta_grid must not be empty")
     pairs = sorted(set(int(p) for p in pair_indices))
     if not pairs or pairs[0] < 0:
-        raise ValueError(f"pair indices must be non-negative, got {pair_indices!r}")
+        raise ValueError(f"pair_indices must be non-negative, got {pair_indices!r}")
     if 2 * pairs[-1] + 2 > trunc.dim:
         raise ValueError(
             f"pair {pairs[-1]} does not fit in {trunc.dim} levels of n_trunc={trunc.n_trunc}"

@@ -1,6 +1,7 @@
 """Command-line surface: precedence, validation, exit codes, reproducibility."""
 
 import hashlib
+import inspect
 import json
 from pathlib import Path
 
@@ -532,19 +533,35 @@ def test_phase_diagram_sentinel_failure(tmp_path):
         (["phase-diagram", "--delta-grid", "2", "--g-over-gc", "1:1:0.1"], "--g-over-gc"),
         (["phase-diagram", "--delta-grid", "2", "--pairs", "30", "--n-trunc", "10"], "pair 30"),
         (["parity", "--delta", "1", "--g", "-0.1"], None),
-        (["spectrum", "--delta", "1", "--g", "0.1", "--n-trunc", "10", "--levels", "40"], None),
+        (
+            ["spectrum", "--delta", "1", "--g", "0.1", "--n-trunc", "10", "--levels", "40"],
+            "--levels must be even",
+        ),
         (["phase-diagram", "--delta-grid", "-1"], None),
-        (["phase-diagram", "--delta-grid", "2", "--g-over-gc", "0.5"], "--g-over-gc"),
-        (["parity", "--delta", "1", "--g", "0.5", "--n-trunc", "10", "--eps-par", "2"], None),
+        (["phase-diagram", "--delta-grid", "2", "--g-over-gc", "0.5"], "error: --g-over-gc must"),
+        (
+            ["parity", "--delta", "1", "--g", "0.5", "--n-trunc", "10", "--eps-par", "2"],
+            "--eps-par must be in",
+        ),
         (
             ["converge", "--delta", "1", "--g-over-gc", "0.5", "--truncs", "1,10", "--ref", "20"],
             "--truncs",
         ),
-        (["converge", "--delta", "1", "--truncs", "10", "--ref", "20", "--levels", "0"], None),
-        (["parity", "--delta", "1", "--g", "0.5", "--n-trunc", "10", "--workers", "-1"], None),
+        (
+            ["converge", "--delta", "1", "--truncs", "10", "--ref", "20", "--levels", "0"],
+            "--levels must be in",
+        ),
+        (
+            ["parity", "--delta", "1", "--g", "0.5", "--n-trunc", "10", "--workers", "-1"],
+            "--workers must be >= 0",
+        ),
         (
             ["wavefunction", "--delta", "1", "--g", "0.5", "--n-trunc", "10", "--xi-step", "-1"],
-            None,
+            "--xi-step must satisfy 0 < --xi-step <= --xi-max",
+        ),
+        (
+            ["converge", "--delta", "1", "--g-over-gc", "0.5", "--truncs", "40", "--ref", "20"],
+            "--ref 20 is below the largest of --truncs, 40",
         ),
     ],
     ids=[
@@ -559,6 +576,7 @@ def test_phase_diagram_sentinel_failure(tmp_path):
         "zero_levels",
         "negative_workers",
         "negative_xi_step",
+        "ref_below_largest_candidate",
     ],
 )
 def test_phase_diagram_rejects_unscannable_input_before_writing(tmp_path, capsys, argv, named):
@@ -571,6 +589,15 @@ def test_phase_diagram_rejects_unscannable_input_before_writing(tmp_path, capsys
     assert "config error" in err
     if named is not None:
         assert named in err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "parity", "converge", "phase-diagram"])
+def test_every_table_option_feeds_its_sweep(command):
+    # the binding table is the only route from an option to the sweep call
+    parameters = inspect.signature(getattr(cli, cli._SWEEPS[command])).parameters
+    for key in cli._COMMANDS[command]:
+        if key not in ("out", "format"):
+            assert cli._BINDINGS[key][0] in parameters, key
 
 
 def test_version_flag():

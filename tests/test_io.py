@@ -28,6 +28,13 @@ def _reference_cell(value) -> str:
     raise AssertionError(f"no reference for {type(value).__name__}")
 
 
+def _reference_json(value):
+    """The per-cell JSON value: an int, a float (NaN as null) or a string."""
+    if isinstance(value, (float, np.floating)):
+        return None if math.isnan(value) else float(value)
+    return value if isinstance(value, str) else int(value)
+
+
 def _token(value) -> str:
     header, token, end = render_table(("x",), [(value,)]).decode("ascii").split("\n")
     assert (header, end) == ("x", "")
@@ -66,9 +73,14 @@ def test_render_csv_cell_types():
     columns = tuple(f"c{j}" for j in range(width))
     expected = "\n".join([",".join(columns)] + [",".join(map(_reference_cell, r)) for r in rows])
     assert render_table(columns, rows) == (expected + "\n").encode("ascii")
+    payload = {"columns": list(columns), "rows": [list(map(_reference_json, r)) for r in rows]}
+    expected = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    assert render_table(columns, rows, fmt="json") == expected.encode("ascii")
+    # the same rule rejects the same cells in both formats
     for bad in (object(), None, 1j):
-        with pytest.raises(TypeError):
-            render_table(("a", "b"), [(1, 0.5), (2, bad)])
+        for fmt in ("csv", "json"):
+            with pytest.raises(TypeError):
+                render_table(("a", "b"), [(1, 0.5), (2, bad)], fmt)
 
 
 def test_render_csv_floats_round_trip():
