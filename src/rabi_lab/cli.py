@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands map one-to-one onto the library sweeps: spectrum (single
-point), parity (coupling sweep), wavefunction (real-space export),
+Each subcommand makes one library call: spectrum (single point), parity
+(coupling sweep), wavefunction (real-space export, ``_wavefunction_job``),
 converge (truncation study), phase-diagram (onset boundaries).  Options
 may come from flags or from a flat key=value config file; flags win and
 the manifest records where every effective value came from.
@@ -12,12 +12,13 @@ scalar couplings for single-point commands, and the table format.  Every
 physics and grid argument is checked by the library before its first
 solve, and its ValueError maps to exit 2 like a configuration error.
 
-One table, ``_BINDINGS``, says which library parameter each option feeds
-and how its parsed value is converted: a range or a scalar becomes grid
-values, n_trunc a ``Truncation``.  A sweep command's one sweep call is
-built from it, and so is the wording of exit-2 messages: the parameter
-each option of the command feeds is named by the option's flag
-(``--ref 20 is below the largest of --truncs, 40``).
+One table, ``_BINDINGS``, says which library parameter each option of
+every command feeds and how its parsed value is converted: a range or a
+scalar becomes grid values, n_trunc a ``Truncation``.  ``run_job``
+builds every command's one call from it and writes the tables the call
+returns in one loop, then the manifest.  Exit-2 messages name each
+parameter by the flag that feeds it (``--ref 20 is below the largest of
+--truncs, 40``).
 
 Exit codes: 0 success, 2 configuration or I/O error (nothing is written
 unless the error comes from writing), 3 solver failure, 4 sentinel
@@ -32,7 +33,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from . import __version__
 from .eigensolve import (
@@ -53,6 +54,8 @@ from .position import (
 )
 from .sweeps import (
     SENTINEL_THRESHOLD,
+    SweepResult,
+    _coupling_axis,
     convergence_sweep,
     coupling_sweep,
     grid_values,
@@ -101,10 +104,8 @@ class ResolvedConfig:
                 out[key] = value.canonical()
             elif isinstance(value, list):
                 out[key] = ",".join(str(v) for v in value)
-            elif isinstance(value, float):
-                # repr is the shortest exact round-trip form
-                out[key] = repr(value)
             else:
+                # str of a float is its repr, the shortest exact round-trip form
                 out[key] = str(value)
         return out
 
@@ -248,14 +249,19 @@ _BINDINGS = {
     "workers": ("workers", int),
 }
 
-# table command -> name of the cli global it calls, looked up per call so
-# that a wrapper installed on this module is the one called
-_SWEEPS = {
+# command -> name of the cli global it calls, looked up per call so that
+# a wrapper installed on this module is the one called
+_JOBS = {
     "spectrum": "coupling_sweep",
     "parity": "coupling_sweep",
+    "wavefunction": "_wavefunction_job",
     "converge": "convergence_sweep",
     "phase-diagram": "phase_boundary_scan",
 }
+
+_SUMMARY_COLUMNS = (
+    "level", "energy", "energy_shifted", "parity", "symmetry_defect", "quadrature_norm"
+)
 
 
 def _in_option_terms(message: str, command: str) -> str:
@@ -298,13 +304,10 @@ def _read_config_file(path: str) -> dict:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not (sep and key and value):
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        value = value.strip()
-        if not key or not value:
-            raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
+        key = key.replace("-", "_")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key}")
         values[key] = value
@@ -376,9 +379,13 @@ def _validate(command: str, values: dict, provenance: dict) -> None:
     _require(values, "out")
 
 
-def _finish(
-    cfg: ResolvedConfig, out_dir: Path, files: list, extra: dict, failures, t0: float
-) -> int:
+def _finish(cfg: ResolvedConfig, extra: dict, failures: list, tables: Iterable, t0: float) -> int:
+    out_dir = Path(cfg.values["out"])  # made by its first write
+    fmt = cfg.values["format"]
+    files = [
+        write_table(out_dir / f"{name}.{fmt}", columns, rows, fmt)
+        for name, columns, rows in tables
+    ]
     manifest = {
         "tool": {"name": "rabi-lab", "version": __version__},
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -408,88 +415,65 @@ def _finish(
     return EXIT_OK
 
 
-def _run_sweep(cfg: ResolvedConfig, out_dir: Path, t0: float) -> int:
-    """Table commands: one sweep, one table, sentinel failures from its meta."""
+def _wavefunction_job(
+    delta: float,
+    g_grid: Optional[Sequence[float]] = None,
+    *,
+    ratio_grid: Optional[Sequence[float]] = None,
+    trunc: Truncation,
+    n_levels: int,
+    step: float,
+    xi_max: Optional[float] = None,
+) -> tuple:
+    """Position-space table of each lowest level at one coupling, then their summary.
+
+    Returns (manifest entries, sentinel failures, tables made one level at
+    a time as they are written); no tables after a failed sentinel.
+    """
+    (g,), _ = _coupling_axis(delta, g_grid, ratio_grid)
+    params = ModelParams(delta, float(g))
+    grid = PositionGrid.default_for(g, step) if xi_max is None else PositionGrid(xi_max, step)
+    spectrum = solve_point(params, trunc, n_levels)
+    if tail_population(spectrum.eigenvectors, trunc) >= SENTINEL_THRESHOLD:
+        return {}, [0], ()
+    wfs = position_wavefunction(spectrum.eigenvectors, grid, trunc)
+
+    def tables():
+        xi = grid.xi.tolist()
+        summary = []
+        for level, wf in enumerate(wfs):
+            rows = list(zip(xi, wf.psi_plus.tolist(), wf.psi_minus.tolist()))
+            yield f"wavefunction_level{level}", ("xi", "psi_plus", "psi_minus"), rows
+            energy = float(spectrum.eigenvalues[level])
+            parity = parity_expectation(spectrum.eigenvectors[:, level], trunc)
+            defect, norm = symmetry_defect(wf), wf.quadrature_norm()
+            summary.append((level, energy, shifted_energy(energy, params), parity, defect, norm))
+        yield "wavefunction_summary", _SUMMARY_COLUMNS, summary
+
+    grid_meta = {"xi_max": grid.xi_max, "step": grid.step, "npoints": grid.npoints}
+    return {"grid": grid_meta}, [], tables()
+
+
+def run_job(cfg: ResolvedConfig) -> int:
+    """Execute one resolved job; returns the process exit code.
+
+    The job's one call is built from ``_BINDINGS``.  A sweep result is one
+    table named after the command, its meta the manifest's ``sweep``.
+    """
+    t0 = time.perf_counter()
     kwargs = {}
     for key, value in cfg.values.items():
         if key in _BINDINGS and value is not None:
             parameter, convert = _BINDINGS[key]
-            kwargs[parameter] = convert(value)
-    result = globals()[_SWEEPS[cfg.command]](**kwargs)
-    fmt = cfg.values["format"]
-    name = cfg.command.replace("-", "_")
-    entry = write_table(out_dir / f"{name}.{fmt}", result.columns, result.rows, fmt)
-    return _finish(
-        cfg, out_dir, [entry], {"sweep": result.meta}, result.meta["sentinel_failures"], t0
-    )
-
-
-def _run_wavefunction(cfg: ResolvedConfig, out_dir: Path, t0: float) -> int:
-    values = cfg.values
-    if values["g"] is not None:
-        params = ModelParams(values["delta"], values["g"])
-    else:
-        params = ModelParams.from_ratio(values["delta"], values["g_over_gc"])
-    trunc = Truncation(values["n_trunc"])
-    if values["xi_max"] is not None:
-        grid = PositionGrid(values["xi_max"], values["xi_step"])
-    else:
-        grid = PositionGrid.default_for(params.g, values["xi_step"])
-    spectrum = solve_point(params, trunc, values["levels"])
-    if tail_population(spectrum.eigenvectors, trunc) >= SENTINEL_THRESHOLD:
-        # unconverged amplitudes would contaminate every exported value
-        return _finish(cfg, out_dir, [], {}, [0], t0)
-    files = []
-    summary = []
-    fmt = values["format"]
-    xi = grid.xi.tolist()
-    for level, wf in enumerate(position_wavefunction(spectrum.eigenvectors, grid, trunc)):
-        vec = spectrum.eigenvectors[:, level]
-        rows = list(zip(xi, wf.psi_plus.tolist(), wf.psi_minus.tolist()))
-        files.append(
-            write_table(
-                out_dir / f"wavefunction_level{level}.{fmt}",
-                ("xi", "psi_plus", "psi_minus"),
-                rows,
-                fmt,
-            )
-        )
-        energy = float(spectrum.eigenvalues[level])
-        summary.append(
-            (
-                level,
-                energy,
-                shifted_energy(energy, params),
-                parity_expectation(vec, trunc),
-                symmetry_defect(wf),
-                wf.quadrature_norm(),
-            )
-        )
-    files.append(
-        write_table(
-            out_dir / f"wavefunction_summary.{fmt}",
-            ("level", "energy", "energy_shifted", "parity", "symmetry_defect", "quadrature_norm"),
-            summary,
-            fmt,
-        )
-    )
-    return _finish(
-        cfg,
-        out_dir,
-        files,
-        {"grid": {"xi_max": grid.xi_max, "step": grid.step, "npoints": grid.npoints}},
-        [],
-        t0,
-    )
-
-
-def run_job(cfg: ResolvedConfig) -> int:
-    """Execute one resolved job; returns the process exit code."""
-    t0 = time.perf_counter()
-    out_dir = Path(cfg.values["out"])  # made by its first write
-    if cfg.command == "wavefunction":
-        return _run_wavefunction(cfg, out_dir, t0)
-    return _run_sweep(cfg, out_dir, t0)
+            try:
+                kwargs[parameter] = convert(value)
+            except ValueError as exc:
+                raise ValueError(f"{parameter}: {exc}") from None
+    result = globals()[_JOBS[cfg.command]](**kwargs)
+    if isinstance(result, SweepResult):
+        table = (cfg.command.replace("-", "_"), result.columns, result.rows)
+        result = {"sweep": result.meta}, result.meta["sentinel_failures"], [table]
+    return _finish(cfg, *result, t0)
 
 
 def main(argv: Optional[list] = None) -> int:

@@ -52,9 +52,8 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveMeta:
-    """Provenance of one solve: path, size and scale."""
+    """Size and scale of one solve."""
 
-    path: str
     dim: int
     scale: float
 
@@ -153,7 +152,7 @@ def _finalize(w: np.ndarray, v: np.ndarray, operator, path: str) -> Spectrum:
         eigenvectors=v,
         residual_norms=residuals,
         near_degenerate=np.diff(w) < DEGENERACY_RTOL * scale,
-        meta=SolveMeta(path=path, dim=v.shape[0], scale=scale),
+        meta=SolveMeta(dim=v.shape[0], scale=scale),
     )
 
 

@@ -80,10 +80,6 @@ class ModelParams:
         """Build parameters from the coupling expressed in units of g_c."""
         return cls(delta=delta, g=g_over_gc * critical_coupling(delta))
 
-    @property
-    def g_over_gc(self) -> float:
-        return self.g / critical_coupling(self.delta)
-
 
 @dataclass(frozen=True)
 class Truncation:

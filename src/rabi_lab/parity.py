@@ -103,7 +103,6 @@ class PairParity:
     energies: tuple[float, float]
     energies_shifted: tuple[float, float]
     parity: tuple[float, float]
-    gap_raw: float
     gap_shifted: float
     parity_sum: float
     p_even: tuple[float, float]
@@ -144,7 +143,6 @@ def pair_report(
                 energies=(e_lo, e_hi),
                 energies_shifted=(es_lo, es_hi),
                 parity=(p_lo, p_hi),
-                gap_raw=e_hi - e_lo,
                 gap_shifted=es_hi - es_lo,
                 parity_sum=subspace_parity_trace(spectrum.eigenvectors[:, lo : hi + 1], trunc),
                 p_even=(f_lo.p_even, f_hi.p_even),

@@ -205,20 +205,20 @@ def _sweep(
 def _coupling_axis(
     delta: float, g_grid: Optional[Sequence[float]], ratio_grid: Optional[Sequence[float]]
 ) -> tuple[np.ndarray, dict]:
-    """Absolute coupling grid from exactly one of the two axes, plus its meta."""
+    """Absolute coupling grid from exactly one of the two axes (named in errors), plus meta."""
     if (g_grid is None) == (ratio_grid is None):
         raise ValueError("provide exactly one of g_grid or ratio_grid")
     gc = critical_coupling(delta)
     if ratio_grid is not None:
-        grid = np.asarray(ratio_grid, dtype=float) * gc
+        name, grid = "ratio_grid", np.asarray(ratio_grid, dtype=float) * gc
     else:
-        grid = np.asarray(g_grid, dtype=float)
+        name, grid = "g_grid", np.asarray(g_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("coupling grid must be a non-empty 1-d sequence")
+        raise ValueError(f"{name} must be a non-empty 1-d sequence")
     if not np.isfinite(grid).all() or (grid < 0).any():
-        raise ValueError("coupling grid values must be finite and >= 0")
+        raise ValueError(f"{name} values must be finite and >= 0")
     if (np.diff(grid) <= 0).any():
-        raise ValueError("coupling grid must be strictly increasing")
+        raise ValueError(f"{name} must be strictly increasing")
     meta = {
         "delta": float(delta),
         "g_c": gc,
@@ -400,12 +400,12 @@ def convergence_sweep(
 
 
 def _phase_point(job: tuple) -> tuple[list[tuple], Optional[dict]]:
-    delta, grid, pairs, eps_par, n_trunc = job
+    delta, grid, pairs, eps_par, n_trunc, n_levels = job
     trunc = Truncation(n_trunc)
     onsets: dict[int, float] = {}
     failing = []
     for i, g in enumerate(grid):
-        report, ok = _dense_point(i, delta, g, trunc, 2 * pairs[-1] + 2, eps_par)
+        report, ok = _dense_point(i, delta, g, trunc, n_levels, eps_par)
         if not ok:
             failing.append(i)
         if i == 0:
@@ -441,16 +441,23 @@ def phase_boundary_scan(
     the smallest coupling of the grid carry a degenerate flag: their
     per-state parities are solver-arbitrary from the start and the onset
     column is not a boundary in any physical sense there.  Visited points
-    that fail the sentinel are listed per delta in the metadata.
+    that fail the sentinel are listed per delta in the metadata, beside
+    ``n_levels`` (2 * max(pair) + 2), the level count an onset depends on.
     """
     t0 = time.perf_counter()
     deltas = [float(d) for d in delta_grid]
     if not deltas:
         raise ValueError("delta_grid must not be empty")
+    try:
+        for d in deltas:
+            critical_coupling(d)
+    except ValueError as exc:
+        raise ValueError(f"delta_grid: {exc}") from None
     pairs = sorted(set(int(p) for p in pair_indices))
     if not pairs or pairs[0] < 0:
         raise ValueError(f"pair_indices must be non-negative, got {pair_indices!r}")
-    if 2 * pairs[-1] + 2 > trunc.dim:
+    n_levels = 2 * pairs[-1] + 2
+    if n_levels > trunc.dim:
         raise ValueError(
             f"pair {pairs[-1]} does not fit in {trunc.dim} levels of n_trunc={trunc.n_trunc}"
         )
@@ -463,7 +470,7 @@ def phase_boundary_scan(
     jobs = []
     for d in deltas:
         grid, _ = _coupling_axis(d, None, ratios)
-        jobs.append((d, tuple(map(float, grid)), tuple(pairs), eps_par, trunc.n_trunc))
+        jobs.append((d, tuple(map(float, grid)), tuple(pairs), eps_par, trunc.n_trunc, n_levels))
     meta = {
         "kind": "phase_boundary_scan",
         "deltas": deltas,
@@ -473,5 +480,6 @@ def phase_boundary_scan(
         "grid_points": len(ratios),
         "eps_par": eps_par,
         "n_trunc": trunc.n_trunc,
+        "n_levels": n_levels,
     }
     return _sweep(PHASE_COLUMNS, _phase_point, jobs, workers, t0, meta)

@@ -298,25 +298,25 @@ def _replay(out1, out2):
     return manifest
 
 
-def test_manifest_config_reruns_identically(tmp_path):
-    out1 = tmp_path / "a"
-    argv = [
-        "parity",
-        "--delta",
-        "2",
-        "--g-over-gc",
-        "0:1:0.25",
-        "--n-trunc",
-        "50",
-        "--levels",
-        "4",
-        "--out",
-        str(out1),
-    ]
-    assert main(argv) == 0
-    out2 = tmp_path / "b"
-    _replay(out1, out2)
-    assert (out1 / "parity.csv").read_bytes() == (out2 / "parity.csv").read_bytes()
+@pytest.mark.parametrize(
+    "job",
+    [
+        "spectrum --delta 2 --g-over-gc 1.2 --n-trunc 50 --levels 4",
+        "parity --delta 2 --g-over-gc 0:1:0.25 --n-trunc 50 --levels 4",
+        "wavefunction --delta 1 --g-over-gc 1.5 --n-trunc 60 --levels 4 --xi-step 0.05",
+        "converge --delta 1 --g-over-gc 0:0.5:0.25 --truncs 20,40 --ref 80 --levels 2",
+        "phase-diagram --delta-grid 1:2:1 --pairs 0,1 --g-over-gc 0.5:1.5:0.5 --n-trunc 40",
+    ],
+    ids=lambda job: job.split()[0],
+)
+def test_manifest_config_reruns_identically(tmp_path, job):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main([*job.split(), "--out", str(out1)]) == 0
+    manifest = _replay(out1, out2)
+    names = [entry["name"] for entry in manifest["files"]]
+    assert names and sorted(p.name for p in out2.iterdir()) == sorted([*names, "manifest.json"])
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_json_format_matches_csv_values(tmp_path):
@@ -532,12 +532,12 @@ def test_phase_diagram_sentinel_failure(tmp_path):
     [
         (["phase-diagram", "--delta-grid", "2", "--g-over-gc", "1:1:0.1"], "--g-over-gc"),
         (["phase-diagram", "--delta-grid", "2", "--pairs", "30", "--n-trunc", "10"], "pair 30"),
-        (["parity", "--delta", "1", "--g", "-0.1"], None),
+        (["parity", "--delta", "1", "--g", "-0.1"], "--g values must be finite and >= 0"),
         (
             ["spectrum", "--delta", "1", "--g", "0.1", "--n-trunc", "10", "--levels", "40"],
             "--levels must be even",
         ),
-        (["phase-diagram", "--delta-grid", "-1"], None),
+        (["phase-diagram", "--delta-grid", "-1"], "--delta-grid: delta must be finite"),
         (["phase-diagram", "--delta-grid", "2", "--g-over-gc", "0.5"], "error: --g-over-gc must"),
         (
             ["parity", "--delta", "1", "--g", "0.5", "--n-trunc", "10", "--eps-par", "2"],
@@ -563,6 +563,11 @@ def test_phase_diagram_sentinel_failure(tmp_path):
             ["converge", "--delta", "1", "--g-over-gc", "0.5", "--truncs", "40", "--ref", "20"],
             "--ref 20 is below the largest of --truncs, 40",
         ),
+        (
+            ["wavefunction", "--delta", "1", "--g-over-gc", "-1"],
+            "--g-over-gc values must be finite and >= 0",
+        ),
+        (["parity", "--delta", "1", "--g", "0.5", "--n-trunc", "1"], "--n-trunc: n_trunc must"),
     ],
     ids=[
         "one_point_grid",
@@ -577,6 +582,8 @@ def test_phase_diagram_sentinel_failure(tmp_path):
         "negative_workers",
         "negative_xi_step",
         "ref_below_largest_candidate",
+        "negative_wavefunction_ratio",
+        "truncation_below_two",
     ],
 )
 def test_phase_diagram_rejects_unscannable_input_before_writing(tmp_path, capsys, argv, named):
@@ -591,10 +598,10 @@ def test_phase_diagram_rejects_unscannable_input_before_writing(tmp_path, capsys
         assert named in err
 
 
-@pytest.mark.parametrize("command", ["spectrum", "parity", "converge", "phase-diagram"])
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_every_table_option_feeds_its_sweep(command):
-    # the binding table is the only route from an option to the sweep call
-    parameters = inspect.signature(getattr(cli, cli._SWEEPS[command])).parameters
+    # the binding table is the only route from an option to the job's call
+    parameters = inspect.signature(getattr(cli, cli._JOBS[command])).parameters
     for key in cli._COMMANDS[command]:
         if key not in ("out", "format"):
             assert cli._BINDINGS[key][0] in parameters, key

@@ -46,7 +46,7 @@ def test_truncation_validation():
 
 def test_from_ratio_round_trip():
     p = ModelParams.from_ratio(1.0, 2.0)
-    assert math.isclose(p.g_over_gc, 2.0, rel_tol=1e-15)
+    assert math.isclose(p.g / critical_coupling(p.delta), 2.0, rel_tol=1e-15)
     assert math.isclose(p.g, 2.0 * critical_coupling(1.0), rel_tol=0.0, abs_tol=0.0)
 
 

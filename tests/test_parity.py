@@ -132,8 +132,7 @@ def test_pair_report_regular_regime():
         assert not p.degenerate
         assert abs(p.parity_sum) <= 1e-12
         assert p.parity[0] * p.parity[1] < 0.0
-        assert p.gap_raw >= 0.0
-        assert abs(p.gap_raw - p.gap_shifted) <= 1e-12
+        assert abs((p.energies[1] - p.energies[0]) - p.gap_shifted) <= 1e-12
         assert p.energies[0] <= p.energies[1]
         shift = params.g * params.g
         assert abs(p.energies_shifted[0] - (p.energies[0] + shift)) <= 1e-12

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from rabi_lab import sweeps
 from rabi_lab.io import render_table
 from rabi_lab.eigensolve import eig_sym_tridiag
 from rabi_lab.model import (
@@ -276,6 +277,24 @@ def test_phase_scan_solves_each_point_once(monkeypatch):
         [2.0], (0, 1), ratio_grid=[0.1, 0.3, 0.5], trunc=Truncation(40), workers=1
     )
     assert len(calls) == 3
+
+
+def test_phase_scan_records_the_level_count_it_solves(monkeypatch):
+    # an onset depends on how many levels each solve asks for, so the
+    # manifest meta must carry that count: 2 * max(pair) + 2
+    requested = []
+    dense = sweeps.eig_sym_dense
+
+    def recording(matrix, k=None):
+        requested.append(k)
+        return dense(matrix, k)
+
+    monkeypatch.setattr(sweeps, "eig_sym_dense", recording)
+    res = phase_boundary_scan(
+        [2.0], (2, 0), ratio_grid=[0.1, 0.3], trunc=Truncation(40), workers=1
+    )
+    assert res.meta["n_levels"] == 6
+    assert requested == [6, 6]
 
 
 @pytest.mark.parametrize(
