@@ -12,13 +12,17 @@ scalar couplings for single-point commands, and the table format.  Every
 physics and grid argument is checked by the library before its first
 solve, and its ValueError maps to exit 2 like a configuration error.
 
-One table, ``_BINDINGS``, says which library parameter each option of
-every command feeds and how its parsed value is converted: a range or a
-scalar becomes grid values, n_trunc a ``Truncation``.  ``run_job``
-builds every command's one call from it and writes the tables the call
-returns in one loop, then the manifest.  Exit-2 messages name each
-parameter by the flag that feeds it (``--ref 20 is below the largest of
---truncs, 40``).
+Two tables declare the surface.  ``_OPTIONS`` gives each option its
+parser, the library parameter it feeds with the conversion of its parsed
+value (a range or a scalar becomes grid values, n_trunc a
+``Truncation``), and its help.  ``_COMMANDS`` gives each command the
+function it calls and its options with their defaults; it is the only
+place an option's default is written, so the library takes every
+parameter an option feeds without a default of its own.  ``run_job``
+builds every command's one call from the two tables and writes the
+tables the call returns in one loop, then the manifest.  Exit-2 messages
+name each value by the flag that set it (``--ref 20 is below the largest
+of --truncs, 40``), or by its key when it came from the config file.
 
 Exit codes: 0 success, 2 configuration or I/O error (nothing is written
 unless the error comes from writing), 3 solver failure, 4 sentinel
@@ -150,28 +154,40 @@ def _parse_str(text: str, key: str) -> str:
     return text
 
 
-# key -> (parser(text, key), help text)
+def _grid(value):
+    """Values of a range, or a scalar as a one-point grid."""
+    return value.values() if isinstance(value, GridSpec) else [float(value)]
+
+
+# key -> (parser(text, name), (library parameter it feeds, conversion of
+# its parsed value) or None, help text)
 _OPTIONS = {
-    "delta": (_parse_float, "level splitting (dimensionless, >= 0)"),
-    "g": (_parse_scalar_or_range, "coupling, absolute units; scalar or start:stop:step"),
-    "g_over_gc": (_parse_scalar_or_range, "coupling in units of g_c; scalar or start:stop:step"),
-    "n_trunc": (_parse_int, "Fock-space cutoff (photon numbers 0 .. n_trunc-1)"),
-    "levels": (_parse_int, "number of lowest levels to report"),
-    "eps_par": (_parse_float, "irregularity threshold on 1 - |<P>|"),
-    "truncs": (_parse_int_list, "comma-separated candidate truncations"),
-    "ref": (_parse_int, "reference truncation for convergence differences"),
-    "delta_grid": (_parse_scalar_or_range, "delta range start:stop:step"),
-    "pairs": (_parse_int_list, "comma-separated pair indices"),
-    "xi_max": (_parse_float, "half-width of the position grid (default: fits the coupling)"),
-    "xi_step": (_parse_float, "position grid step"),
-    "workers": (_parse_int, "process count for grid points (0 = cpu count)"),
-    "out": (_parse_str, "output directory for tables and manifest"),
-    "format": (_parse_str, "table format: csv or json"),
+    "delta": (_parse_float, ("delta", float), "level splitting (dimensionless, >= 0)"),
+    "g": (_parse_scalar_or_range, ("g_grid", _grid),
+          "coupling, absolute units; scalar or start:stop:step"),
+    "g_over_gc": (_parse_scalar_or_range, ("ratio_grid", _grid),
+                  "coupling in units of g_c; scalar or start:stop:step"),
+    "n_trunc": (_parse_int, ("trunc", Truncation),
+                "Fock-space cutoff (photon numbers 0 .. n_trunc-1)"),
+    "levels": (_parse_int, ("n_levels", int), "number of lowest levels to report"),
+    "eps_par": (_parse_float, ("eps_par", float), "irregularity threshold on 1 - |<P>|"),
+    "truncs": (_parse_int_list, ("trunc_list", list), "comma-separated candidate truncations"),
+    "ref": (_parse_int, ("ref_trunc", int), "reference truncation for convergence differences"),
+    "delta_grid": (_parse_scalar_or_range, ("delta_grid", _grid), "delta range start:stop:step"),
+    "pairs": (_parse_int_list, ("pair_indices", list), "comma-separated pair indices"),
+    "xi_max": (_parse_float, ("xi_max", float),
+               "half-width of the position grid (default: fits the coupling)"),
+    "xi_step": (_parse_float, ("step", float), "position grid step"),
+    "workers": (_parse_int, ("workers", int), "process count for grid points (0 = cpu count)"),
+    "out": (_parse_str, None, "output directory for tables and manifest"),
+    "format": (_parse_str, None, "table format: csv or json"),
 }
 
-# command -> {valid option: built-in default}, in --help order
+# command -> (name of the cli global it calls, looked up per call so that
+# a wrapper installed on this module is the one called, {valid option:
+# built-in default} in --help order); the only place a default is written
 _COMMANDS = {
-    "spectrum": {
+    "spectrum": ("coupling_sweep", {
         "delta": None,
         "g": None,
         "g_over_gc": None,
@@ -180,8 +196,8 @@ _COMMANDS = {
         "eps_par": DEFAULT_EPS_PAR,
         "out": None,
         "format": "csv",
-    },
-    "parity": {
+    }),
+    "parity": ("coupling_sweep", {
         "delta": None,
         "g": None,
         "g_over_gc": None,
@@ -191,8 +207,8 @@ _COMMANDS = {
         "out": None,
         "format": "csv",
         "workers": None,
-    },
-    "wavefunction": {
+    }),
+    "wavefunction": ("_wavefunction_job", {
         "delta": None,
         "g": None,
         "g_over_gc": None,
@@ -202,8 +218,8 @@ _COMMANDS = {
         "xi_step": DEFAULT_STEP,
         "out": None,
         "format": "csv",
-    },
-    "converge": {
+    }),
+    "converge": ("convergence_sweep", {
         "delta": None,
         "g": None,
         "g_over_gc": GridSpec(0.0, 6.0, 0.05),
@@ -213,8 +229,8 @@ _COMMANDS = {
         "out": None,
         "format": "csv",
         "workers": None,
-    },
-    "phase-diagram": {
+    }),
+    "phase-diagram": ("phase_boundary_scan", {
         "delta_grid": None,
         "pairs": [0, 1],
         "g_over_gc": GridSpec(0.0, 2.5, 0.01),
@@ -223,40 +239,7 @@ _COMMANDS = {
         "out": None,
         "format": "csv",
         "workers": None,
-    },
-}
-
-
-def _grid(value):
-    """Values of a range, or a scalar as a one-point grid."""
-    return value.values() if isinstance(value, GridSpec) else [float(value)]
-
-
-# option -> (library parameter it feeds, conversion of its parsed value)
-_BINDINGS = {
-    "delta": ("delta", float),
-    "g": ("g_grid", _grid),
-    "g_over_gc": ("ratio_grid", _grid),
-    "n_trunc": ("trunc", Truncation),
-    "levels": ("n_levels", int),
-    "eps_par": ("eps_par", float),
-    "truncs": ("trunc_list", list),
-    "ref": ("ref_trunc", int),
-    "delta_grid": ("delta_grid", _grid),
-    "pairs": ("pair_indices", list),
-    "xi_max": ("xi_max", float),
-    "xi_step": ("step", float),
-    "workers": ("workers", int),
-}
-
-# command -> name of the cli global it calls, looked up per call so that
-# a wrapper installed on this module is the one called
-_JOBS = {
-    "spectrum": "coupling_sweep",
-    "parity": "coupling_sweep",
-    "wavefunction": "_wavefunction_job",
-    "converge": "convergence_sweep",
-    "phase-diagram": "phase_boundary_scan",
+    }),
 }
 
 _SUMMARY_COLUMNS = (
@@ -264,16 +247,16 @@ _SUMMARY_COLUMNS = (
 )
 
 
+def _flag(key: str) -> str:
+    return f"--{key.replace('_', '-')}"
+
+
 def _in_option_terms(message: str, command: str) -> str:
     """A library error message with the parameters the command's options feed as flags.
 
     One pass, so a flag it inserts (--g-over-gc) is never rewritten again.
     """
-    flags = {
-        _BINDINGS[key][0]: f"--{key.replace('_', '-')}"
-        for key in _COMMANDS[command]
-        if key in _BINDINGS
-    }
+    flags = {_OPTIONS[k][1][0]: _flag(k) for k in _COMMANDS[command][1] if _OPTIONS[k][1]}
     return re.sub(rf"\b({'|'.join(flags)})\b", lambda m: flags[m[1]], message)
 
 
@@ -284,13 +267,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for command, keys in _COMMANDS.items():
+    for command, (_, keys) in _COMMANDS.items():
         p = sub.add_parser(command, help=f"{command} job")
         p.add_argument("--config", default=None, help="flat key=value config file")
         for key in keys:
-            p.add_argument(
-                f"--{key.replace('_', '-')}", dest=key, default=None, help=_OPTIONS[key][1]
-            )
+            p.add_argument(_flag(key), dest=key, default=None, help=_OPTIONS[key][2])
     return parser
 
 
@@ -301,7 +282,7 @@ def _read_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         key, sep, value = (part.strip() for part in line.partition("="))
@@ -327,7 +308,7 @@ def parse_config(argv: Optional[list] = None) -> ResolvedConfig:
         parser.print_usage(sys.stderr)
         raise ConfigError("missing command")
     command = args.command
-    defaults = _COMMANDS[command]
+    defaults = _COMMANDS[command][1]
     file_values = _read_config_file(args.config) if args.config else {}
     for key in file_values:
         if key not in defaults:
@@ -338,7 +319,7 @@ def parse_config(argv: Optional[list] = None) -> ResolvedConfig:
         parse = _OPTIONS[key][0]
         flag_raw = getattr(args, key)
         if flag_raw is not None:
-            values[key] = parse(flag_raw, key)
+            values[key] = parse(flag_raw, _flag(key))
             provenance[key] = "flag"
         elif key in file_values:
             values[key] = parse(file_values[key], key)
@@ -352,11 +333,15 @@ def parse_config(argv: Optional[list] = None) -> ResolvedConfig:
 
 def _require(values: dict, key: str) -> None:
     if values.get(key) is None:
-        raise ConfigError(f"missing required option --{key.replace('_', '-')}")
+        raise ConfigError(f"missing required option {_flag(key)}")
 
 
 def _validate(command: str, values: dict, provenance: dict) -> None:
     """Command-line rules only; the library checks every physics and grid value."""
+
+    def named(key: str) -> str:
+        return _flag(key) if provenance[key] == "flag" else key
+
     if command == "phase-diagram":
         _require(values, "delta_grid")
     else:
@@ -366,8 +351,8 @@ def _validate(command: str, values: dict, provenance: dict) -> None:
         g, ratio = values["g"], values["g_over_gc"]
         if g is not None and ratio is not None:
             raise ConfigError(
-                f"coupling given twice: g (from {provenance['g']}) "
-                f"and g_over_gc (from {provenance['g_over_gc']}); set exactly one"
+                f"coupling given twice: {named('g')} (from {provenance['g']}) and "
+                f"{named('g_over_gc')} (from {provenance['g_over_gc']}); set exactly one"
             )
         if g is None and ratio is None:
             raise ConfigError("set a coupling with --g or --g-over-gc")
@@ -375,7 +360,7 @@ def _validate(command: str, values: dict, provenance: dict) -> None:
         if command in ("spectrum", "wavefunction") and isinstance(chosen, GridSpec):
             raise ConfigError(f"{command} takes a scalar coupling, not a range")
     if values["format"] not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {values['format']!r}")
+        raise ConfigError(f"{named('format')} must be csv or json, got {values['format']!r}")
     _require(values, "out")
 
 
@@ -457,19 +442,20 @@ def _wavefunction_job(
 def run_job(cfg: ResolvedConfig) -> int:
     """Execute one resolved job; returns the process exit code.
 
-    The job's one call is built from ``_BINDINGS``.  A sweep result is one
-    table named after the command, its meta the manifest's ``sweep``.
+    The job's one call is built from the two tables.  A sweep result is
+    one table named after the command, its meta the manifest's ``sweep``.
     """
     t0 = time.perf_counter()
     kwargs = {}
     for key, value in cfg.values.items():
-        if key in _BINDINGS and value is not None:
-            parameter, convert = _BINDINGS[key]
+        binding = _OPTIONS[key][1]
+        if binding and value is not None:
+            parameter, convert = binding
             try:
                 kwargs[parameter] = convert(value)
             except ValueError as exc:
                 raise ValueError(f"{parameter}: {exc}") from None
-    result = globals()[_JOBS[cfg.command]](**kwargs)
+    result = globals()[_COMMANDS[cfg.command][0]](**kwargs)
     if isinstance(result, SweepResult):
         table = (cfg.command.replace("-", "_"), result.columns, result.rows)
         result = {"sweep": result.meta}, result.meta["sentinel_failures"], [table]

@@ -14,7 +14,8 @@ sentinel column cleared, never dropped, and the indices are listed in the
 result metadata so callers can escalate.
 
 Every sweep checks all of its arguments before the first solve, so a bad
-argument raises ValueError without any work done.
+argument raises ValueError without any work done.  Each parameter that
+a command-line option feeds is required; its default is the CLI's.
 
 Both dense sweeps, the coupling sweep and the phase-boundary scan, run
 each grid point through ``_dense_point`` (solve, sentinel, pair report).
@@ -274,8 +275,8 @@ def coupling_sweep(
     g_grid: Optional[Sequence[float]] = None,
     *,
     ratio_grid: Optional[Sequence[float]] = None,
-    n_levels: int = 8,
-    trunc: Truncation = Truncation(1000),
+    n_levels: int,
+    trunc: Truncation,
     eps_par: float = DEFAULT_EPS_PAR,
     workers: Optional[int] = None,
 ) -> SweepResult:
@@ -364,9 +365,9 @@ def convergence_sweep(
     g_grid: Optional[Sequence[float]] = None,
     *,
     ratio_grid: Optional[Sequence[float]] = None,
-    trunc_list: Sequence[int] = (200, 400, 1000),
-    ref_trunc: int = 2000,
-    n_levels: int = 8,
+    trunc_list: Sequence[int],
+    ref_trunc: int,
+    n_levels: int,
     workers: Optional[int] = None,
 ) -> SweepResult:
     """Truncation-convergence table |E_i(N) - E_i(N_ref)| along a coupling grid.
@@ -427,11 +428,11 @@ def _phase_point(job: tuple) -> tuple[list[tuple], Optional[dict]]:
 
 def phase_boundary_scan(
     delta_grid: Sequence[float],
-    pair_indices: Sequence[int] = (0, 1),
+    pair_indices: Sequence[int],
     *,
-    ratio_grid: Optional[Sequence[float]] = None,
+    ratio_grid: Sequence[float],
     eps_par: float = DEFAULT_EPS_PAR,
-    trunc: Truncation = Truncation(1000),
+    trunc: Truncation,
     workers: Optional[int] = None,
 ) -> SweepResult:
     """Irregularity onset per (delta, pair) over a shared g/g_c grid.
@@ -461,8 +462,6 @@ def phase_boundary_scan(
         raise ValueError(
             f"pair {pairs[-1]} does not fit in {trunc.dim} levels of n_trunc={trunc.n_trunc}"
         )
-    if ratio_grid is None:
-        ratio_grid = grid_values(0.0, 2.5, 0.01)
     ratios = np.asarray(ratio_grid, dtype=float)
     if ratios.ndim != 1 or ratios.size < 2:
         raise ValueError("ratio_grid must contain at least two points")

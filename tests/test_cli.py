@@ -87,6 +87,11 @@ def test_config_file_syntax(tmp_path):
     good.write_text("# comment\n\ndelta = 1\ng = 0.5   # trailing comment\n")
     cfg = parse_config(["spectrum", "--config", str(good), "--out", str(tmp_path / "o")])
     assert cfg.values["g"] == 0.5
+    # a '#' starts a comment only at the start of a line or after whitespace
+    hashed = tmp_path / "hashed.cfg"
+    hashed.write_text(f"delta = 1\ng = 0.5\nout = {tmp_path / 'run#3'}\n")
+    out = parse_config(["spectrum", "--config", str(hashed)]).values["out"]
+    assert out == str(tmp_path / "run#3")
     bad = tmp_path / "bad.cfg"
     bad.write_text("delta 1\n")
     with pytest.raises(ConfigError):
@@ -463,7 +468,7 @@ def test_converge_accepts_g_over_default_ratio(tmp_path, capsys):
     assert (out1 / "converge.csv").read_bytes() == (out2 / "converge.csv").read_bytes()
     out3 = tmp_path / "both"
     assert main(argv + ["--g-over-gc", "0.5", "--out", str(out3)]) == 2
-    assert "g (from flag) and g_over_gc (from flag)" in capsys.readouterr().err
+    assert "--g (from flag) and --g-over-gc (from flag)" in capsys.readouterr().err
     assert not out3.exists()
 
 
@@ -568,6 +573,9 @@ def test_phase_diagram_sentinel_failure(tmp_path):
             "--g-over-gc values must be finite and >= 0",
         ),
         (["parity", "--delta", "1", "--g", "0.5", "--n-trunc", "1"], "--n-trunc: n_trunc must"),
+        (["parity", "--delta", "1", "--g", "0.5", "--n-trunc", "abc"], "--n-trunc: expected an"),
+        (["parity", "--delta", "1", "--g", "0:1:-1"], "--g: grid step must be > 0"),
+        (["parity", "--delta", "1", "--g", "0.5", "--format", "xml"], "--format must be csv"),
     ],
     ids=[
         "one_point_grid",
@@ -584,6 +592,9 @@ def test_phase_diagram_sentinel_failure(tmp_path):
         "ref_below_largest_candidate",
         "negative_wavefunction_ratio",
         "truncation_below_two",
+        "non_integer_truncation",
+        "negative_grid_step",
+        "unknown_format",
     ],
 )
 def test_phase_diagram_rejects_unscannable_input_before_writing(tmp_path, capsys, argv, named):
@@ -600,11 +611,20 @@ def test_phase_diagram_rejects_unscannable_input_before_writing(tmp_path, capsys
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_every_table_option_feeds_its_sweep(command):
-    # the binding table is the only route from an option to the job's call
-    parameters = inspect.signature(getattr(cli, cli._JOBS[command])).parameters
-    for key in cli._COMMANDS[command]:
-        if key not in ("out", "format"):
-            assert cli._BINDINGS[key][0] in parameters, key
+    # the option table is the only route from an option to the job's call,
+    # and the command table the only place the default of what it feeds is
+    # written: a library default of its own could drift from the CLI's
+    job, defaults = cli._COMMANDS[command]
+    parameters = inspect.signature(getattr(cli, job)).parameters
+    for key, default in defaults.items():
+        binding = cli._OPTIONS[key][1]
+        if binding is None:  # out, format
+            continue
+        assert binding[0] in parameters, key
+        own = parameters[binding[0]].default
+        # small ints are cached objects, so identity cannot vouch for one
+        shared = own is default and not isinstance(own, int)
+        assert own is inspect.Parameter.empty or own is None or shared, key
 
 
 def test_version_flag():

@@ -156,17 +156,19 @@ def test_coupling_sweep_table_shape_and_content():
 
 
 def test_coupling_sweep_grid_argument_exclusivity():
+    sizes = dict(n_levels=2, trunc=Truncation(20))
     with pytest.raises(ValueError):
-        coupling_sweep(1.0)
+        coupling_sweep(1.0, **sizes)
     with pytest.raises(ValueError):
-        coupling_sweep(1.0, g_grid=[0.1], ratio_grid=[0.1])
+        coupling_sweep(1.0, g_grid=[0.1], ratio_grid=[0.1], **sizes)
     with pytest.raises(ValueError):
-        coupling_sweep(1.0, ratio_grid=[0.5], n_levels=3)
-    for sweep in (coupling_sweep, convergence_sweep):
+        coupling_sweep(1.0, ratio_grid=[0.5], n_levels=3, trunc=Truncation(20))
+    convergence_sizes = dict(trunc_list=(20,), ref_trunc=40, n_levels=2)
+    for sweep, kwargs in ((coupling_sweep, sizes), (convergence_sweep, convergence_sizes)):
         with pytest.raises(ValueError, match="strictly increasing"):
-            sweep(1.0, ratio_grid=[0.5, 0.5])
+            sweep(1.0, ratio_grid=[0.5, 0.5], **kwargs)
         with pytest.raises(ValueError, match="strictly increasing"):
-            sweep(1.0, g_grid=[0.4, 0.2])
+            sweep(1.0, g_grid=[0.4, 0.2], **kwargs)
 
 
 def test_coupling_sweep_worker_count_does_not_change_bytes():
@@ -223,7 +225,7 @@ def test_convergence_sweep_diff_shrinks_with_truncation():
 
 def test_convergence_sweep_requires_dominant_reference():
     with pytest.raises(ValueError):
-        convergence_sweep(1.0, ratio_grid=[0.5], trunc_list=(100,), ref_trunc=80)
+        convergence_sweep(1.0, ratio_grid=[0.5], trunc_list=(100,), ref_trunc=80, n_levels=2)
 
 
 def test_phase_scan_flags_degenerate_first_point():
