@@ -15,14 +15,17 @@ solve, and its ValueError maps to exit 2 like a configuration error.
 Two tables declare the surface.  ``_OPTIONS`` gives each option its
 parser, the library parameter it feeds with the conversion of its parsed
 value (a range or a scalar becomes grid values, n_trunc a
-``Truncation``), and its help.  ``_COMMANDS`` gives each command the
-function it calls and its options with their defaults; it is the only
-place an option's default is written, so the library takes every
-parameter an option feeds without a default of its own.  ``run_job``
-builds every command's one call from the two tables and writes the
-tables the call returns in one loop, then the manifest.  Exit-2 messages
-name each value by the flag that set it (``--ref 20 is below the largest
-of --truncs, 40``), or by its key when it came from the config file.
+``Truncation``), its built-in default, and its help.  ``_COMMANDS`` gives
+each command the function it calls, its options, and only the defaults
+that differ from ``_OPTIONS`` (wavefunction's levels, the g_over_gc grids
+of converge and phase-diagram).  So each default is written once, and
+the library takes every parameter an option feeds without a default of
+its own.  ``run_job`` builds every command's one call from the two
+tables and writes the tables the call returns in one loop, then the
+manifest.  ``parse_config`` decides one name per value, which every
+exit-2 message uses: a value from the config file is named by its key as
+written (``n-trunc: expected an integer``), any other by its flag
+(``--ref 20 is below the largest of --truncs, 40``).
 
 Exit codes: 0 success, 2 configuration or I/O error (nothing is written
 unless the error comes from writing), 3 solver failure, 4 sentinel
@@ -98,6 +101,7 @@ class ResolvedConfig:
     command: str
     values: dict
     provenance: dict
+    names: dict  # how messages name each value: its flag, or its key as the file wrote it
 
     def canonical_config(self) -> dict:
         out = {}
@@ -160,87 +164,56 @@ def _grid(value):
 
 
 # key -> (parser(text, name), (library parameter it feeds, conversion of
-# its parsed value) or None, help text)
+# its parsed value) or None, built-in default, help text)
 _OPTIONS = {
-    "delta": (_parse_float, ("delta", float), "level splitting (dimensionless, >= 0)"),
-    "g": (_parse_scalar_or_range, ("g_grid", _grid),
+    "delta": (_parse_float, ("delta", float), None, "level splitting (dimensionless, >= 0)"),
+    "g": (_parse_scalar_or_range, ("g_grid", _grid), None,
           "coupling, absolute units; scalar or start:stop:step"),
-    "g_over_gc": (_parse_scalar_or_range, ("ratio_grid", _grid),
+    "g_over_gc": (_parse_scalar_or_range, ("ratio_grid", _grid), None,
                   "coupling in units of g_c; scalar or start:stop:step"),
-    "n_trunc": (_parse_int, ("trunc", Truncation),
+    "n_trunc": (_parse_int, ("trunc", Truncation), 1000,
                 "Fock-space cutoff (photon numbers 0 .. n_trunc-1)"),
-    "levels": (_parse_int, ("n_levels", int), "number of lowest levels to report"),
-    "eps_par": (_parse_float, ("eps_par", float), "irregularity threshold on 1 - |<P>|"),
-    "truncs": (_parse_int_list, ("trunc_list", list), "comma-separated candidate truncations"),
-    "ref": (_parse_int, ("ref_trunc", int), "reference truncation for convergence differences"),
-    "delta_grid": (_parse_scalar_or_range, ("delta_grid", _grid), "delta range start:stop:step"),
-    "pairs": (_parse_int_list, ("pair_indices", list), "comma-separated pair indices"),
-    "xi_max": (_parse_float, ("xi_max", float),
+    "levels": (_parse_int, ("n_levels", int), 8, "number of lowest levels to report"),
+    "eps_par": (_parse_float, ("eps_par", float), DEFAULT_EPS_PAR,
+                "irregularity threshold on 1 - |<P>|"),
+    "truncs": (_parse_int_list, ("trunc_list", list), [200, 400, 1000],
+               "comma-separated candidate truncations"),
+    "ref": (_parse_int, ("ref_trunc", int), 2000,
+            "reference truncation for convergence differences"),
+    "delta_grid": (_parse_scalar_or_range, ("delta_grid", _grid), None,
+                   "delta range start:stop:step"),
+    "pairs": (_parse_int_list, ("pair_indices", list), [0, 1], "comma-separated pair indices"),
+    "xi_max": (_parse_float, ("xi_max", float), None,
                "half-width of the position grid (default: fits the coupling)"),
-    "xi_step": (_parse_float, ("step", float), "position grid step"),
-    "workers": (_parse_int, ("workers", int), "process count for grid points (0 = cpu count)"),
-    "out": (_parse_str, None, "output directory for tables and manifest"),
-    "format": (_parse_str, None, "table format: csv or json"),
+    "xi_step": (_parse_float, ("step", float), DEFAULT_STEP, "position grid step"),
+    "workers": (_parse_int, ("workers", int), None,
+                "process count for grid points (0 = cpu count)"),
+    "out": (_parse_str, None, None, "output directory for tables and manifest"),
+    "format": (_parse_str, None, "csv", "table format: csv or json"),
 }
 
 # command -> (name of the cli global it calls, looked up per call so that
-# a wrapper installed on this module is the one called, {valid option:
-# built-in default} in --help order); the only place a default is written
+# a wrapper installed on this module is the one called; its options in
+# --help order; {option: default} where it differs from the _OPTIONS one)
 _COMMANDS = {
-    "spectrum": ("coupling_sweep", {
-        "delta": None,
-        "g": None,
-        "g_over_gc": None,
-        "n_trunc": 1000,
-        "levels": 8,
-        "eps_par": DEFAULT_EPS_PAR,
-        "out": None,
-        "format": "csv",
-    }),
-    "parity": ("coupling_sweep", {
-        "delta": None,
-        "g": None,
-        "g_over_gc": None,
-        "n_trunc": 1000,
-        "levels": 8,
-        "eps_par": DEFAULT_EPS_PAR,
-        "out": None,
-        "format": "csv",
-        "workers": None,
-    }),
-    "wavefunction": ("_wavefunction_job", {
-        "delta": None,
-        "g": None,
-        "g_over_gc": None,
-        "n_trunc": 1000,
-        "levels": 2,
-        "xi_max": None,
-        "xi_step": DEFAULT_STEP,
-        "out": None,
-        "format": "csv",
-    }),
-    "converge": ("convergence_sweep", {
-        "delta": None,
-        "g": None,
-        "g_over_gc": GridSpec(0.0, 6.0, 0.05),
-        "truncs": [200, 400, 1000],
-        "ref": 2000,
-        "levels": 8,
-        "out": None,
-        "format": "csv",
-        "workers": None,
-    }),
-    "phase-diagram": ("phase_boundary_scan", {
-        "delta_grid": None,
-        "pairs": [0, 1],
-        "g_over_gc": GridSpec(0.0, 2.5, 0.01),
-        "n_trunc": 1000,
-        "eps_par": DEFAULT_EPS_PAR,
-        "out": None,
-        "format": "csv",
-        "workers": None,
-    }),
+    "spectrum": ("coupling_sweep", "delta g g_over_gc n_trunc levels eps_par out format", {}),
+    "parity": ("coupling_sweep",
+               "delta g g_over_gc n_trunc levels eps_par out format workers", {}),
+    "wavefunction": ("_wavefunction_job",
+                     "delta g g_over_gc n_trunc levels xi_max xi_step out format", {"levels": 2}),
+    "converge": ("convergence_sweep", "delta g g_over_gc truncs ref levels out format workers",
+                 {"g_over_gc": GridSpec(0.0, 6.0, 0.05)}),
+    "phase-diagram": ("phase_boundary_scan",
+                      "delta_grid pairs g_over_gc n_trunc eps_par out format workers",
+                      {"g_over_gc": GridSpec(0.0, 2.5, 0.01)}),
 }
+
+
+def _defaults(command: str) -> dict:
+    """The command's options in --help order, each with its built-in default."""
+    _, keys, overrides = _COMMANDS[command]
+    return {key: overrides.get(key, _OPTIONS[key][2]) for key in keys.split()}
+
 
 _SUMMARY_COLUMNS = (
     "level", "energy", "energy_shifted", "parity", "symmetry_defect", "quadrature_norm"
@@ -251,13 +224,13 @@ def _flag(key: str) -> str:
     return f"--{key.replace('_', '-')}"
 
 
-def _in_option_terms(message: str, command: str) -> str:
-    """A library error message with the parameters the command's options feed as flags.
+def _in_option_terms(message: str, cfg: ResolvedConfig) -> str:
+    """A library error message with the parameters the options feed named as the options.
 
     One pass, so a flag it inserts (--g-over-gc) is never rewritten again.
     """
-    flags = {_OPTIONS[k][1][0]: _flag(k) for k in _COMMANDS[command][1] if _OPTIONS[k][1]}
-    return re.sub(rf"\b({'|'.join(flags)})\b", lambda m: flags[m[1]], message)
+    names = {_OPTIONS[k][1][0]: name for k, name in cfg.names.items() if _OPTIONS[k][1]}
+    return re.sub(rf"\b({'|'.join(names)})\b", lambda m: names[m[1]], message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -267,15 +240,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for command, (_, keys) in _COMMANDS.items():
+    for command in _COMMANDS:
         p = sub.add_parser(command, help=f"{command} job")
         p.add_argument("--config", default=None, help="flat key=value config file")
-        for key in keys:
-            p.add_argument(_flag(key), dest=key, default=None, help=_OPTIONS[key][2])
+        for key in _defaults(command):
+            p.add_argument(_flag(key), dest=key, default=None, help=_OPTIONS[key][3])
     return parser
 
 
 def _read_config_file(path: str) -> dict:
+    """{option key: (the key as written, value text)} of a flat key = value file."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -285,13 +259,13 @@ def _read_config_file(path: str) -> dict:
         line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
-        key, sep, value = (part.strip() for part in line.partition("="))
-        if not (sep and key and value):
+        written, sep, value = (part.strip() for part in line.partition("="))
+        if not (sep and written and value):
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
-        key = key.replace("-", "_")
+        key = written.replace("-", "_")
         if key in values:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key}")
-        values[key] = value
+            raise ConfigError(f"{path}:{lineno}: duplicate key {written}")
+        values[key] = written, value
     return values
 
 
@@ -307,28 +281,24 @@ def parse_config(argv: Optional[list] = None) -> ResolvedConfig:
     if args.command is None:
         parser.print_usage(sys.stderr)
         raise ConfigError("missing command")
-    command = args.command
-    defaults = _COMMANDS[command][1]
+    cfg = ResolvedConfig(args.command, {}, {}, {})
+    defaults = _defaults(cfg.command)
     file_values = _read_config_file(args.config) if args.config else {}
-    for key in file_values:
+    for key, (written, _) in file_values.items():
         if key not in defaults:
-            raise ConfigError(f"config file key {key!r} is not valid for {command}")
-    values: dict = {}
-    provenance: dict = {}
+            raise ConfigError(f"config file key {written!r} is not valid for {cfg.command}")
     for key, default in defaults.items():
-        parse = _OPTIONS[key][0]
-        flag_raw = getattr(args, key)
-        if flag_raw is not None:
-            values[key] = parse(flag_raw, _flag(key))
-            provenance[key] = "flag"
+        flag_text = getattr(args, key)
+        if flag_text is not None:
+            source, name, text = "flag", _flag(key), flag_text
         elif key in file_values:
-            values[key] = parse(file_values[key], key)
-            provenance[key] = "file"
+            source, (name, text) = "file", file_values[key]
         else:
-            values[key] = default
-            provenance[key] = "default"
-    _validate(command, values, provenance)
-    return ResolvedConfig(command=command, values=values, provenance=provenance)
+            source, name, text = "default", _flag(key), None
+        cfg.values[key] = default if text is None else _OPTIONS[key][0](text, name)
+        cfg.provenance[key], cfg.names[key] = source, name
+    _validate(cfg)
+    return cfg
 
 
 def _require(values: dict, key: str) -> None:
@@ -336,12 +306,9 @@ def _require(values: dict, key: str) -> None:
         raise ConfigError(f"missing required option {_flag(key)}")
 
 
-def _validate(command: str, values: dict, provenance: dict) -> None:
+def _validate(cfg: ResolvedConfig) -> None:
     """Command-line rules only; the library checks every physics and grid value."""
-
-    def named(key: str) -> str:
-        return _flag(key) if provenance[key] == "flag" else key
-
+    command, values, provenance, names = cfg.command, cfg.values, cfg.provenance, cfg.names
     if command == "phase-diagram":
         _require(values, "delta_grid")
     else:
@@ -351,8 +318,8 @@ def _validate(command: str, values: dict, provenance: dict) -> None:
         g, ratio = values["g"], values["g_over_gc"]
         if g is not None and ratio is not None:
             raise ConfigError(
-                f"coupling given twice: {named('g')} (from {provenance['g']}) and "
-                f"{named('g_over_gc')} (from {provenance['g_over_gc']}); set exactly one"
+                f"coupling given twice: {names['g']} (from {provenance['g']}) and "
+                f"{names['g_over_gc']} (from {provenance['g_over_gc']}); set exactly one"
             )
         if g is None and ratio is None:
             raise ConfigError("set a coupling with --g or --g-over-gc")
@@ -360,7 +327,7 @@ def _validate(command: str, values: dict, provenance: dict) -> None:
         if command in ("spectrum", "wavefunction") and isinstance(chosen, GridSpec):
             raise ConfigError(f"{command} takes a scalar coupling, not a range")
     if values["format"] not in ("csv", "json"):
-        raise ConfigError(f"{named('format')} must be csv or json, got {values['format']!r}")
+        raise ConfigError(f"{names['format']} must be csv or json, got {values['format']!r}")
     _require(values, "out")
 
 
@@ -476,7 +443,7 @@ def main(argv: Optional[list] = None) -> int:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except ValueError as exc:
-        print(f"config error: {_in_option_terms(str(exc), cfg.command)}", file=sys.stderr)
+        print(f"config error: {_in_option_terms(str(exc), cfg)}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -609,12 +609,62 @@ def test_phase_diagram_rejects_unscannable_input_before_writing(tmp_path, capsys
         assert named in err
 
 
+@pytest.mark.parametrize(
+    "text, argv, named, unnamed",
+    [
+        (
+            "levels = 0\n",
+            ["wavefunction", "--delta", "1", "--g", "0.5", "--n-trunc", "10"],
+            "levels must be in",
+            "--levels",
+        ),
+        ("n-trunc = abc\n", ["parity", "--delta", "1", "--g", "0.5"], "n-trunc: expected an", None),
+        ("n-truncs = 5\n", ["parity", "--delta", "1", "--g", "0.5"], "'n-truncs'", None),
+        (
+            "n_trunc = 40\nn-trunc = 50\n",
+            ["parity", "--delta", "1", "--g", "0.5"],
+            "duplicate key n-trunc",
+            None,
+        ),
+        (
+            None,
+            ["converge", "--delta", "1", "--g", "0.5", "--truncs", "4000"],
+            "--ref 2000 is below the largest of --truncs, 4000",
+            None,
+        ),
+    ],
+    ids=["library_check", "parse_error", "unknown_key", "duplicate_key", "default_value"],
+)
+def test_messages_name_file_values_by_key_as_written(tmp_path, capsys, text, argv, named, unnamed):
+    # a value from the config file is named by its key as the file wrote it,
+    # a value from a flag or a default by its flag
+    if text is not None:
+        cfgfile = tmp_path / "job.cfg"
+        cfgfile.write_text(text)
+        argv = [*argv, "--config", str(cfgfile)]
+    out = tmp_path / "never"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert named in err
+    assert unnamed is None or unnamed not in err
+
+
+def test_command_defaults_only_override():
+    # a command row writes a default only where it differs from the option's,
+    # so no default is written twice
+    for command, (_, keys, overrides) in cli._COMMANDS.items():
+        for key, default in overrides.items():
+            assert key in keys.split(), (command, key)
+            assert default != cli._OPTIONS[key][2], (command, key)
+
+
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_every_table_option_feeds_its_sweep(command):
     # the option table is the only route from an option to the job's call,
-    # and the command table the only place the default of what it feeds is
+    # and the two tables the only place the default of what it feeds is
     # written: a library default of its own could drift from the CLI's
-    job, defaults = cli._COMMANDS[command]
+    job, defaults = cli._COMMANDS[command][0], cli._defaults(command)
     parameters = inspect.signature(getattr(cli, job)).parameters
     for key, default in defaults.items():
         binding = cli._OPTIONS[key][1]
