@@ -7,12 +7,10 @@ being parity-pure while their pairwise parity sum stays pinned at zero.
 """
 
 from .eigensolve import (
-    ResidualReport,
     SolverError,
     Spectrum,
     eig_sym_dense,
     eig_sym_tridiag,
-    residual_report,
 )
 from .model import (
     ModelParams,
@@ -55,7 +53,6 @@ __all__ = [
     "ModelParams",
     "PairParity",
     "PositionGrid",
-    "ResidualReport",
     "SolverError",
     "Spectrum",
     "SweepResult",
@@ -76,7 +73,6 @@ __all__ = [
     "parity_expectation",
     "phase_boundary_scan",
     "position_wavefunction",
-    "residual_report",
     "sector_hamiltonian",
     "shifted_energy",
     "solve_point",

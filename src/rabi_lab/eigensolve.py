@@ -5,8 +5,7 @@ Two storage paths: dense (full two-component operator) and tridiagonal
 ascending, bitwise-equal eigenvalues ordered by the basis index of their
 eigenvector's first nonzero component.  Every returned set of eigenpairs
 passes one accuracy contract (residual, normalization and orthogonality
-bounds), the same check ``residual_report`` recomputes for an existing
-spectrum; a violation raises ``SolverError`` instead of returning silently
+bounds); a violation raises ``SolverError`` instead of returning silently
 degraded data.
 
 Solves are deterministic for identical inputs within one build of the
@@ -18,7 +17,7 @@ whatever mixture the solver produced; no re-rotation is applied here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -28,13 +27,11 @@ __all__ = [
     "NORM_TOL",
     "ORTHO_TOL",
     "RESIDUAL_RTOL",
-    "ResidualReport",
     "SolveMeta",
     "SolverError",
     "Spectrum",
     "eig_sym_dense",
     "eig_sym_tridiag",
-    "residual_report",
 ]
 
 # Contract tolerances. scale = max(1, max|matrix entry|).
@@ -42,8 +39,6 @@ RESIDUAL_RTOL = 1e-11   # ||M v - lambda v||_2 <= RESIDUAL_RTOL * scale
 NORM_TOL = 1e-12        # | ||v|| - 1 | <= NORM_TOL
 ORTHO_TOL = 1e-10       # |v_i . v_j| <= ORTHO_TOL for i != j
 DEGENERACY_RTOL = 1e-12  # adjacent gap below DEGENERACY_RTOL * scale flags a pair
-
-TridiagPair = tuple[np.ndarray, np.ndarray]
 
 
 class SolverError(RuntimeError):
@@ -78,18 +73,6 @@ class Spectrum:
         return len(self.eigenvalues)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    """Contract check of a set of eigenpairs against their matrix."""
-
-    max_residual: float
-    max_norm_defect: float
-    max_ortho_defect: float
-    residual_tol: float
-    failing_levels: tuple[int, ...]
-    passed: bool
-
-
 def _tridiag_matvec(diag: np.ndarray, offdiag: np.ndarray, v: np.ndarray) -> np.ndarray:
     out = diag[:, None] * v
     out[:-1] += offdiag[:, None] * v[1:]
@@ -97,55 +80,28 @@ def _tridiag_matvec(diag: np.ndarray, offdiag: np.ndarray, v: np.ndarray) -> np.
     return out
 
 
-def _as_operator(matrix: Union[np.ndarray, TridiagPair]):
-    """(matvec, scale) of a dense array or a (diag, offdiag) pair."""
-    if isinstance(matrix, tuple):
-        d, e = (np.asarray(a, dtype=float) for a in matrix)
-        scale = max(1.0, float(np.abs(d).max()), float(np.abs(e).max()) if len(e) else 0.0)
-        return (lambda v: _tridiag_matvec(d, e, v)), scale
-    m = np.asarray(matrix, dtype=float)
-    return (lambda v: m @ v), max(1.0, float(np.abs(m).max()))
-
-
-def _contract(
-    w: np.ndarray, v: np.ndarray, matvec, scale: float
-) -> tuple[ResidualReport, np.ndarray]:
-    """The accuracy contract of eigenpairs (w, v): report and residual norms.
+def _finalize(w: np.ndarray, v: np.ndarray, matvec, scale: float, path: str) -> Spectrum:
+    """Tie-order the raw eigenpairs, enforce the contract, wrap as a Spectrum.
 
     A level fails on its residual or norm defect; the set fails on any
     failing level or an off-diagonal Gram entry above ORTHO_TOL.  Every
     comparison is written so that NaN fails it.
     """
+    order = np.lexsort((np.argmax(np.abs(v) > 1e-12, axis=0), w))
+    w, v = w[order], v[:, order]
     residuals = np.linalg.norm(matvec(v) - v * w, axis=0)
     norm_defects = np.abs(np.linalg.norm(v, axis=0) - 1.0)
     gram = v.T @ v
     np.fill_diagonal(gram, 0.0)
-    overlap = float(np.abs(gram).max()) if gram.size else 0.0
+    overlap = np.abs(gram).max()
     tol = RESIDUAL_RTOL * scale
     failing = np.flatnonzero(~((residuals <= tol) & (norm_defects <= NORM_TOL)))
-    report = ResidualReport(
-        max_residual=float(residuals.max()),
-        max_norm_defect=float(norm_defects.max()),
-        max_ortho_defect=overlap,
-        residual_tol=tol,
-        failing_levels=tuple(int(i) for i in failing),
-        passed=bool(failing.size == 0 and overlap <= ORTHO_TOL),
-    )
-    return report, residuals
-
-
-def _finalize(w: np.ndarray, v: np.ndarray, operator, path: str) -> Spectrum:
-    """Tie-order the raw eigenpairs, enforce the contract, wrap as a Spectrum."""
-    order = np.lexsort((np.argmax(np.abs(v) > 1e-12, axis=0), w))
-    w, v = w[order], v[:, order]
-    matvec, scale = _as_operator(operator)
-    report, residuals = _contract(w, v, matvec, scale)
-    if not report.passed:
+    if failing.size or not overlap <= ORTHO_TOL:
         raise SolverError(
-            f"{path}: contract violated at levels {list(report.failing_levels)}: "
-            f"max residual {report.max_residual:.3e} (tol {report.residual_tol:.3e}), "
-            f"max norm defect {report.max_norm_defect:.3e}, "
-            f"max overlap {report.max_ortho_defect:.3e}"
+            f"{path}: contract violated at levels {failing.tolist()}: "
+            f"max residual {residuals.max():.3e} (tol {tol:.3e}), "
+            f"max norm defect {norm_defects.max():.3e}, "
+            f"max overlap {overlap:.3e}"
         )
     return Spectrum(
         eigenvalues=w,
@@ -177,7 +133,8 @@ def eig_sym_dense(matrix: np.ndarray, k: Optional[int] = None) -> Spectrum:
         w, v = scipy.linalg.eigh(m, subset_by_index=(0, k - 1), driver="evr")
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SolverError(f"dense solve failed for dim={dim}: {exc}") from exc
-    return _finalize(w, v, m, "dense-evr")
+    scale = max(1.0, float(np.abs(m).max()))
+    return _finalize(w, v, lambda x: m @ x, scale, "dense-evr")
 
 
 def eig_sym_tridiag(
@@ -199,16 +156,6 @@ def eig_sym_tridiag(
         w, v = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SolverError(f"tridiagonal solve failed for dim={dim}: {exc}") from exc
-    return _finalize(w, v, (d, e), "tridiag")
+    scale = max(1.0, float(np.abs(d).max()), float(np.abs(e).max(initial=0.0)))
+    return _finalize(w, v, lambda x: _tridiag_matvec(d, e, x), scale, "tridiag")
 
-
-def residual_report(
-    matrix: Union[np.ndarray, TridiagPair], spectrum: Spectrum
-) -> ResidualReport:
-    """Recompute the contract check for ``spectrum``.
-
-    ``matrix`` is either the dense array or a (diag, offdiag) pair; it must
-    be the operator the spectrum came from for the report to mean anything.
-    """
-    matvec, scale = _as_operator(matrix)
-    return _contract(spectrum.eigenvalues, spectrum.eigenvectors, matvec, scale)[0]

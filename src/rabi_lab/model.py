@@ -45,7 +45,6 @@ import numpy as np
 __all__ = [
     "ModelParams",
     "Truncation",
-    "basis_index",
     "basis_labels",
     "build_hamiltonian",
     "critical_coupling",
@@ -74,11 +73,6 @@ class ModelParams:
         # normalize numpy scalars so dataclass equality and repr stay plain
         object.__setattr__(self, "delta", float(self.delta))
         object.__setattr__(self, "g", float(self.g))
-
-    @classmethod
-    def from_ratio(cls, delta: float, g_over_gc: float) -> "ModelParams":
-        """Build parameters from the coupling expressed in units of g_c."""
-        return cls(delta=delta, g=g_over_gc * critical_coupling(delta))
 
 
 @dataclass(frozen=True)
@@ -111,15 +105,6 @@ def critical_coupling(delta: float) -> float:
 def shifted_energy(energy, params: ModelParams):
     """Energy with the deep-strong-coupling offset +g**2 added."""
     return energy + params.g * params.g
-
-
-def basis_index(n: int, s: int) -> int:
-    """Flattened index of basis state (n, s); s must be +1 or -1."""
-    if s not in (1, -1):
-        raise ValueError(f"s must be +1 or -1, got {s!r}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return 2 * n + (0 if s == 1 else 1)
 
 
 def basis_labels(trunc: Truncation) -> tuple[np.ndarray, np.ndarray]:

@@ -8,10 +8,10 @@ Worker count resolution: an explicit request is capped by the
 RABI_LAB_THREADS environment variable (0 means the CPU count), default 1.
 
 Each point is guarded by a truncation sentinel: the summed photon
-population of every retained state beyond 0.9 * n_trunc must stay below
-SENTINEL_THRESHOLD.  Failing points are kept in the output with their
-sentinel column cleared, never dropped, and the indices are listed in the
-result metadata so callers can escalate.
+population of every retained state from photon index ceil(0.9 * n_trunc)
+(at most n_trunc - 1) must stay below SENTINEL_THRESHOLD.  Failing points
+are kept in the output with their sentinel column cleared, never dropped,
+and the indices are listed in the result metadata so callers can escalate.
 
 Every sweep checks all of its arguments before the first solve, so a bad
 argument raises ValueError without any work done.  Each parameter that
@@ -129,8 +129,8 @@ def grid_values(start: float, stop: float, step: float) -> np.ndarray:
 
 
 def tail_start_index(n_trunc: int) -> int:
-    """First photon index counted as tail: ceil(0.9 * n_trunc), exactly."""
-    return (9 * n_trunc + 9) // 10
+    """First photon index counted as tail: ceil(0.9 * n_trunc), at most n_trunc - 1."""
+    return min((9 * n_trunc + 9) // 10, n_trunc - 1)
 
 
 def tail_population(vectors: np.ndarray, trunc: Truncation) -> float:
@@ -142,10 +142,7 @@ def tail_population(vectors: np.ndarray, trunc: Truncation) -> float:
         raise ValueError(f"vectors have length {v.shape[0]}, expected {trunc.dim}")
     v2 = v * v
     pops = v2[0::2, :] + v2[1::2, :]
-    t0 = tail_start_index(trunc.n_trunc)
-    if t0 >= trunc.n_trunc:
-        return 0.0
-    return float(pops[t0:, :].sum(axis=0).max())
+    return float(pops[tail_start_index(trunc.n_trunc):, :].sum(axis=0).max())
 
 
 def solve_point(params: ModelParams, trunc: Truncation, n_levels: int) -> Spectrum:

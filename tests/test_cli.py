@@ -13,7 +13,7 @@ from rabi_lab import position
 from rabi_lab.cli import ConfigError, GridSpec, main, parse_config
 from rabi_lab.eigensolve import SolverError
 from rabi_lab.io import render_table
-from rabi_lab.model import ModelParams, Truncation
+from rabi_lab.model import ModelParams, Truncation, critical_coupling
 from rabi_lab.position import PositionGrid
 from rabi_lab.sweeps import PARITY_COLUMNS, solve_point
 
@@ -200,6 +200,23 @@ def test_exit_code_sentinel_failure(tmp_path, capsys):
     header, rows = _read_csv(out / "spectrum.csv")
     sentinel_col = header.index("sentinel")
     assert all(r[sentinel_col] == "0" for r in rows)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["sentinel"]["all_passed"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "parity --delta 1 --g-over-gc 3 --n-trunc 9 --levels 4",
+        "converge --delta 1 --g-over-gc 3 --truncs 5 --ref 9 --levels 2",
+    ],
+    ids=["parity", "converge"],
+)
+def test_sentinel_counts_last_photon_below_ten(tmp_path, argv):
+    # ceil(0.9 * N) is N itself for N <= 9; the tail must still hold the
+    # last photon index, or a starved solve passes the sentinel
+    out = tmp_path / "starved"
+    assert main([*argv.split(), "--out", str(out)]) == 4
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["sentinel"]["all_passed"] is False
 
@@ -409,7 +426,7 @@ def test_wavefunction_builds_one_hermite_table(tmp_path, monkeypatch):
     argv = ["wavefunction", "--delta", "1", "--g-over-gc", "1.5", "--n-trunc", "80"]
     assert main([*argv, "--levels", "8", "--out", str(out)]) == 0
     assert calls == [80]
-    params = ModelParams.from_ratio(1.0, 1.5)
+    params = ModelParams(1.0, 1.5 * critical_coupling(1.0))
     grid = PositionGrid.default_for(params.g)
     table = original(grid, 80)
     vectors = solve_point(params, Truncation(80), 8).eigenvectors

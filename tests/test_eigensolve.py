@@ -1,5 +1,7 @@
 """Solver wrapper contracts: ordering, residuals, determinism, tie-breaking."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,12 +11,9 @@ from rabi_lab.eigensolve import (
     NORM_TOL,
     ORTHO_TOL,
     RESIDUAL_RTOL,
-    SolveMeta,
     SolverError,
-    Spectrum,
     eig_sym_dense,
     eig_sym_tridiag,
-    residual_report,
 )
 from rabi_lab.model import ModelParams, Truncation, build_hamiltonian, sector_hamiltonian
 
@@ -118,48 +117,20 @@ def test_near_degenerate_flags_paired_levels():
     assert flags == [True, False, True, False, True, False, True]
 
 
-def test_residual_report_accepts_healthy_solve():
+def test_healthy_solve_residuals():
+    # each storage path reports residuals inside the contract, and they
+    # match an independent recomputation against the dense operator
     params = ModelParams(1.0, 0.5)
     tr = Truncation(40)
     h = build_hamiltonian(params, tr)
-    sp = eig_sym_dense(h, k=6)
-    rep = residual_report(h, sp)
-    assert rep.passed
-    assert rep.failing_levels == ()
-    assert rep.max_residual <= rep.residual_tol
-
-
-def test_residual_report_flags_perturbed_vector():
-    params = ModelParams(1.0, 0.5)
-    tr = Truncation(40)
-    h = build_hamiltonian(params, tr)
-    sp = eig_sym_dense(h, k=6)
-    vecs = sp.eigenvectors.copy()
-    noise = np.random.default_rng(1).standard_normal(vecs.shape[0])
-    noise -= vecs @ (vecs.T @ noise)
-    noise /= np.linalg.norm(noise)
-    bad = vecs[:, 0] + 1e-6 * noise
-    vecs[:, 0] = bad / np.linalg.norm(bad)
-    tainted = type(sp)(
-        eigenvalues=sp.eigenvalues,
-        eigenvectors=vecs,
-        residual_norms=sp.residual_norms,
-        near_degenerate=sp.near_degenerate,
-        meta=sp.meta,
-    )
-    rep = residual_report(h, tainted)
-    assert not rep.passed
-    assert 0 in rep.failing_levels
-    assert 1e-8 <= rep.max_residual <= 1e-3
-
-
-def test_residual_report_tridiagonal_input():
-    params = ModelParams(1.0, 0.8)
-    tr = Truncation(50)
     diag, off = sector_hamiltonian(params, tr, -1)
-    sp = eig_sym_tridiag(diag, off, k=4)
-    rep = residual_report((diag, off), sp)
-    assert rep.passed
+    tri = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    for matrix, sp in ((h, eig_sym_dense(h, k=6)), (tri, eig_sym_tridiag(diag, off, k=4))):
+        assert sp.meta.scale == max(1.0, np.abs(matrix).max())
+        assert sp.residual_norms.max() <= RESIDUAL_RTOL * sp.meta.scale
+        v, w = sp.eigenvectors, sp.eigenvalues
+        recomputed = np.linalg.norm(matrix @ v - v * w, axis=0)
+        assert np.abs(recomputed - sp.residual_norms).max() <= 1e-12 * sp.meta.scale
 
 
 def test_degeneracy_threshold_scales_with_matrix():
@@ -176,52 +147,52 @@ def test_degeneracy_threshold_scales_with_matrix():
 
 @pytest.mark.parametrize("solver", ["eigh", "eigh_tridiagonal"])
 def test_contract_violation_raises(monkeypatch, solver):
-    # the solver returns one eigenvector tilted by 1e-6 out of its
-    # eigenspace (still unit-norm and orthogonal to the others): the
-    # residual check must refuse it, and residual_report must agree
+    # LAPACK's output is corrupted before the contract sees it.  A NaN
+    # column must fail every comparison, not slip past them; one vector
+    # tilted by 1e-6 out of its eigenspace (still unit-norm and orthogonal
+    # to the others) must fail on its residual alone
     params = ModelParams(1.0, 0.5)
     tr = Truncation(40)
     if solver == "eigh":
-        operator = build_hamiltonian(params, tr)
-        solve = lambda: eig_sym_dense(operator, k=6)
+        h = build_hamiltonian(params, tr)
+        solve, path = (lambda: eig_sym_dense(h, k=6)), "dense-evr"
     else:
-        operator = sector_hamiltonian(params, tr, 1)
-        solve = lambda: eig_sym_tridiag(*operator, k=6)
+        diag, off = sector_hamiltonian(params, tr, 1)
+        solve, path = (lambda: eig_sym_tridiag(diag, off, k=6)), "tridiag"
     original = getattr(scipy.linalg, solver)
-    returned = []
 
-    def tilted(*args, **kwargs):
-        w, v = original(*args, **kwargs)
+    def corrupt(change):
+        def patched(*args, **kwargs):
+            w, v = original(*args, **kwargs)
+            v = v.copy()
+            change(v)
+            return w, v
+
+        monkeypatch.setattr(scipy.linalg, solver, patched)
+
+    def nan_column(v):
+        v[:, 1] = np.nan
+
+    def tilt_first(v):
         noise = np.random.default_rng(1).standard_normal(v.shape[0])
         noise -= v @ (v.T @ noise)
         bad = v[:, 0] + 1e-6 * noise / np.linalg.norm(noise)
-        v = v.copy()
         v[:, 0] = bad / np.linalg.norm(bad)
-        returned.append((w, v))
-        return w, v
 
-    monkeypatch.setattr(scipy.linalg, solver, tilted)
-    with pytest.raises(SolverError, match=r"levels \[0\]"):
+    corrupt(nan_column)
+    with pytest.raises(SolverError, match=rf"^{path}: contract violated at levels \[1\]: "):
         solve()
-    (w, v), = returned
-    spectrum = Spectrum(
-        eigenvalues=w,
-        eigenvectors=v,
-        residual_norms=np.zeros(len(w)),
-        near_degenerate=np.zeros(len(w) - 1, dtype=bool),
-        meta=SolveMeta(dim=v.shape[0], scale=1.0),
+
+    corrupt(tilt_first)
+    with pytest.raises(SolverError) as info:
+        solve()
+    found = re.fullmatch(
+        rf"{path}: contract violated at levels \[0\]: max residual (?P<res>\S+) "
+        r"\(tol (?P<tol>[^)]+)\), max norm defect (?P<norm>\S+), max overlap (?P<overlap>\S+)",
+        str(info.value),
     )
-    rep = residual_report(operator, spectrum)
-    assert not rep.passed
-    assert rep.failing_levels == (0,)
-    assert rep.max_residual > rep.residual_tol
-
-
-def test_residual_report_fails_nan_vectors():
-    # NaN must fail every comparison of the contract, not slip past it
-    h = build_hamiltonian(ModelParams(1.0, 0.5), Truncation(20))
-    sp = eig_sym_dense(h, k=3)
-    sp.eigenvectors[:, 1] = np.nan
-    rep = residual_report(h, sp)
-    assert not rep.passed
-    assert 1 in rep.failing_levels
+    assert found is not None, str(info.value)
+    residual, tol, norm, overlap = (float(x) for x in found.groups())
+    assert tol < residual <= 1e-3
+    assert norm <= NORM_TOL
+    assert overlap <= ORTHO_TOL

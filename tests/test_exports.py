@@ -1,6 +1,7 @@
 """Every exported name and every name the benchmark tracer wraps resolves, so removals
-cannot leave dangling exports."""
+cannot leave dangling exports, and every exported name has a caller in the package."""
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import rabi_lab
 
 MODULES = ("eigensolve", "io", "model", "parity", "position", "sweeps")
+SRC = Path(__file__).resolve().parents[1] / "src" / "rabi_lab"
 
 
 def test_all_exports_resolve():
@@ -33,3 +35,37 @@ def test_benchmark_tracer_targets_resolve(monkeypatch):
         if not hasattr(module, attr)
     ]
     assert missing == []
+
+
+def _all_list(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return node.value
+    return None
+
+
+def test_every_export_has_a_caller_in_src():
+    # public API that only tests call must go: each name in a module's
+    # __all__ is read somewhere in src/ outside the __all__ lists, as a
+    # name, an attribute, or a string (cli looks its sweeps up by name)
+    exported, used = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        all_list = _all_list(tree)
+        skip = set()
+        if all_list is not None:
+            skip = {id(node) for node in ast.walk(all_list)}
+            if path.stem != "__init__":
+                exported += [f"{path.stem}.{name}" for name in ast.literal_eval(all_list)]
+        for node in ast.walk(tree):
+            if id(node) in skip:
+                continue
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    assert [name for name in exported if name.split(".")[1] not in used] == []

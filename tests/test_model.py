@@ -8,7 +8,6 @@ import pytest
 from rabi_lab.model import (
     ModelParams,
     Truncation,
-    basis_index,
     basis_labels,
     build_hamiltonian,
     critical_coupling,
@@ -44,12 +43,6 @@ def test_truncation_validation():
     assert Truncation(1000).dim == 2000
 
 
-def test_from_ratio_round_trip():
-    p = ModelParams.from_ratio(1.0, 2.0)
-    assert math.isclose(p.g / critical_coupling(p.delta), 2.0, rel_tol=1e-15)
-    assert math.isclose(p.g, 2.0 * critical_coupling(1.0), rel_tol=0.0, abs_tol=0.0)
-
-
 def test_critical_coupling_closed_form():
     # sqrt(1 + sqrt(1 + delta^2/16)) evaluated independently
     assert critical_coupling(0.0) == math.sqrt(2.0)
@@ -72,15 +65,10 @@ def test_shifted_energy_scalar_and_array():
 
 
 def test_basis_index_and_labels():
-    assert basis_index(0, 1) == 0
-    assert basis_index(0, -1) == 1
-    assert basis_index(3, 1) == 6
-    assert basis_index(3, -1) == 7
-    with pytest.raises(ValueError):
-        basis_index(0, 2)
-    ns, ss = basis_labels(Truncation(3))
-    assert list(ns) == [0, 0, 1, 1, 2, 2]
-    assert list(ss) == [1, -1, 1, -1, 1, -1]
+    # flattened index 2n + (s == -1): photon number major, spin minor
+    ns, ss = basis_labels(Truncation(4))
+    assert list(ns) == [0, 0, 1, 1, 2, 2, 3, 3]
+    assert list(ss) == [1, -1, 1, -1, 1, -1, 1, -1]
 
 
 def test_parity_pattern_small():
@@ -194,7 +182,7 @@ def test_sector_union_matches_full_spectrum():
 
 def test_normal_phase_parity_purity():
     # below half the critical coupling every low state keeps a sharp parity
-    params = ModelParams.from_ratio(1.0, 0.45)
+    params = ModelParams(1.0, 0.45 * critical_coupling(1.0))
     tr = Truncation(60)
     sp = eig_sym_dense(build_hamiltonian(params, tr), k=6)
     pd = parity_diagonal(tr)

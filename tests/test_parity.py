@@ -9,8 +9,8 @@ from rabi_lab.eigensolve import eig_sym_dense
 from rabi_lab.model import (
     ModelParams,
     Truncation,
-    basis_index,
     build_hamiltonian,
+    critical_coupling,
     parity_diagonal,
 )
 from rabi_lab.parity import (
@@ -24,7 +24,7 @@ from rabi_lab.sweeps import coupling_sweep, grid_values, phase_boundary_scan
 
 def _basis_state(n, s, trunc):
     v = np.zeros(trunc.dim)
-    v[basis_index(n, s)] = 1.0
+    v[2 * n + (s == -1)] = 1.0
     return v
 
 
@@ -122,7 +122,7 @@ def test_subspace_trace_invariant_under_rotation():
 
 
 def test_pair_report_regular_regime():
-    params = ModelParams.from_ratio(1.0, 0.5)
+    params = ModelParams(1.0, 0.5 * critical_coupling(1.0))
     tr = Truncation(60)
     sp = eig_sym_dense(build_hamiltonian(params, tr), k=8)
     pairs = pair_report(sp, params, tr)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rabi_lab.eigensolve import eig_sym_dense
-from rabi_lab.model import ModelParams, Truncation, basis_index, build_hamiltonian
+from rabi_lab.model import ModelParams, Truncation, build_hamiltonian, critical_coupling
 from rabi_lab.parity import parity_expectation
 from rabi_lab.position import (
     ALIASING_N,
@@ -99,7 +99,7 @@ def test_wavefunction_of_uncoupled_ground_state():
 
 
 def test_wavefunction_rejects_clipped_grid():
-    params = ModelParams.from_ratio(1.0, 3.0)
+    params = ModelParams(1.0, 3.0 * critical_coupling(1.0))
     tr = Truncation(300)
     sp = eig_sym_dense(build_hamiltonian(params, tr), k=1)
     with pytest.raises(ValueError):
@@ -119,16 +119,17 @@ def test_defect_zero_for_pure_and_one_for_equal_mixture():
     tr = Truncation(12)
     grid = PositionGrid(10.0, 0.02)
     states = np.zeros((tr.dim, 2))
-    states[basis_index(0, 1), 0] = 1.0
-    states[basis_index(0, 1), 1] = 1.0 / math.sqrt(2.0)
-    states[basis_index(0, -1), 1] = 1.0 / math.sqrt(2.0)
+    # basis index 2n + (s == -1): (0, +1) is 0 and (0, -1) is 1
+    states[0, 0] = 1.0
+    states[0, 1] = 1.0 / math.sqrt(2.0)
+    states[1, 1] = 1.0 / math.sqrt(2.0)
     pure, mixed = position_wavefunction(states, grid, tr)
     assert symmetry_defect(pure) <= 1e-10
     assert abs(symmetry_defect(mixed) - 1.0) <= 1e-6
 
 
 def test_defect_matches_parity_purity():
-    params = ModelParams.from_ratio(5.0, 1.1)
+    params = ModelParams(5.0, 1.1 * critical_coupling(5.0))
     tr = Truncation(120)
     sp = eig_sym_dense(build_hamiltonian(params, tr), k=2)
     grid = PositionGrid.default_for(params.g)

@@ -54,6 +54,9 @@ def test_grid_values_validation():
 
 
 def test_tail_start_index():
+    # ceil(0.9 * n) reaches n itself below 10; the last index always counts
+    for n in range(2, 10):
+        assert tail_start_index(n) == n - 1
     assert tail_start_index(10) == 9
     assert tail_start_index(15) == 14
     assert tail_start_index(999) == 900
@@ -72,13 +75,13 @@ def test_sentinel_passes_when_truncation_generous():
 
 
 def test_sentinel_fails_when_truncation_starved():
-    params = ModelParams.from_ratio(1.0, 6.0)
+    params = ModelParams(1.0, 6.0 * critical_coupling(1.0))
     assert _max_tail(params, Truncation(50)) > SENTINEL_THRESHOLD
     assert _max_tail(params, Truncation(1000)) < SENTINEL_THRESHOLD
 
 
 def test_solve_point_matches_sector_merge():
-    params = ModelParams.from_ratio(1.0, 1.5)
+    params = ModelParams(1.0, 1.5 * critical_coupling(1.0))
     tr = Truncation(120)
     sp = solve_point(params, tr, 8)
     merged, _ = merged_sector_levels(params, tr, 8)
