@@ -302,7 +302,7 @@ def parse_config(argv: Optional[list] = None) -> ResolvedConfig:
 
 
 def _require(values: dict, key: str) -> None:
-    if values.get(key) is None:
+    if values.get(key) in (None, ""):
         raise ConfigError(f"missing required option {_flag(key)}")
 
 

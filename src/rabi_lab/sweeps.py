@@ -1,9 +1,13 @@
 """Grid sweeps over coupling, truncation and level splitting.
 
-Every sweep evaluates independent grid points, so the work is farmed out
-to a process pool and merged back in grid order; at a fixed BLAS thread
-count, output is identical for any worker count because each point's
-result depends only on its inputs.
+Every sweep binds its shared inputs once with ``functools.partial`` and
+maps that point function over one item per grid point, ``(index, g)``, or
+per delta for the phase scan, ``(delta, g_c, grid)``, in this process or
+on a spawn pool; results merge back in grid order, and at a fixed BLAS
+thread count they are identical for any worker count.  Bound inputs are
+data only: a point looks the solve, sentinel and parity functions up as
+module globals when it runs, so a wrapper installed on this module (the
+benchmark tracer, ``perfbench/tracing.py``) sees every call.
 Worker count resolution: an explicit request is capped by the
 RABI_LAB_THREADS environment variable (0 means the CPU count), default 1.
 
@@ -17,13 +21,12 @@ Every sweep checks all of its arguments before the first solve, so a bad
 argument raises ValueError without any work done.  Each parameter that
 a command-line option feeds is required; its default is the CLI's.
 
-Both dense sweeps, the coupling sweep and the phase-boundary scan, run
-each grid point through ``_dense_point`` (solve, sentinel, pair report).
-The irregularity onset of a pair, the first grid coupling at which either
-member has |<P>| < 1 - eps_par, is located by ``phase_boundary_scan``.
-The convergence sweep instead takes its energies from
-``merged_sector_levels``, which merges the two tridiagonal sector spectra
-under the dense path's tie order.
+Dense points run through ``_dense_point`` (solve, sentinel, pair report);
+``phase_boundary_scan`` walks each delta's grid with it to find each pair's
+onset, the first coupling at which a member has |<P>| < 1 - eps_par.  The
+convergence sweep takes its energies from ``merged_sector_levels``, which
+merges the two tridiagonal sector spectra under the dense path's tie order.
+A solver failure is re-raised naming the grid index, delta and g of its point.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -124,6 +128,8 @@ def grid_values(start: float, stop: float, step: float) -> np.ndarray:
         raise ValueError(f"grid step must be > 0, got {step}")
     if stop < start:
         raise ValueError(f"grid stop {stop} is below start {start}")
+    if not math.isfinite((stop - start) / step):
+        raise ValueError(f"grid {start}:{stop}:{step} has too many points to count")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
     return start + step * np.arange(count)
 
@@ -175,21 +181,16 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return max(1, workers)
 
 
-def _run_jobs(worker, jobs: list, workers: int) -> list:
-    """Map jobs to results preserving order; pool only when workers > 1."""
-    if workers <= 1 or len(jobs) <= 1:
-        return [worker(job) for job in jobs]
-    ctx = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs)), mp_context=ctx) as pool:
-        return list(pool.map(worker, jobs, chunksize=1))
-
-
-def _sweep(
-    columns: tuple, worker, jobs: list, workers: Optional[int], t0: float, meta: dict
-) -> SweepResult:
-    """Run the jobs and join their (rows, failure or None) results in grid order."""
+def _sweep(columns: tuple, point, items: list, workers: Optional[int], meta: dict) -> SweepResult:
+    """Map the point over the items, on a spawn pool for workers > 1, and join results in order."""
+    t0 = time.perf_counter()
     effective = resolve_workers(workers)
-    results = _run_jobs(worker, jobs, effective)
+    if effective <= 1 or len(items) <= 1:
+        results = [point(item) for item in items]
+    else:
+        ctx = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=min(effective, len(items)), mp_context=ctx) as pool:
+            results = list(pool.map(point, items, chunksize=1))
     meta.update(
         workers=effective,
         sentinel_failures=[bad for _, bad in results if bad is not None],
@@ -198,6 +199,14 @@ def _sweep(
     return SweepResult(
         columns=columns, rows=[row for rows, _ in results for row in rows], meta=meta
     )
+
+
+def _solve_at(index: int, delta: float, g: float, solve, *args):
+    """solve(*args) at one grid point, a SolverError re-raised naming the point."""
+    try:
+        return solve(*args)
+    except SolverError as exc:
+        raise SolverError(f"grid index {index} (delta={delta!r}, g={g!r}): {exc}") from exc
 
 
 def _coupling_axis(
@@ -235,21 +244,20 @@ def _dense_point(
     Returns the pair report and whether the sentinel passed.
     """
     params = ModelParams(delta, g)
-    try:
-        spectrum = solve_point(params, trunc, n_levels)
-    except SolverError as exc:
-        raise SolverError(f"grid index {index} (delta={delta!r}, g={g!r}): {exc}") from exc
+    spectrum = _solve_at(index, delta, g, solve_point, params, trunc, n_levels)
     ok = tail_population(spectrum.eigenvectors, trunc) < SENTINEL_THRESHOLD
     return pair_report(spectrum, params, trunc, eps_par), ok
 
 
-def _coupling_point(job: tuple) -> tuple[list[tuple], Optional[int]]:
-    index, delta, g, gc, n_trunc, n_levels, eps_par = job
-    pairs, ok = _dense_point(index, delta, g, Truncation(n_trunc), n_levels, eps_par)
+def _coupling_point(
+    delta: float, g_c: float, trunc: Truncation, n_levels: int, eps_par: float, item: tuple
+) -> tuple[list[tuple], Optional[int]]:
+    index, g = item
+    pairs, ok = _dense_point(index, delta, g, trunc, n_levels, eps_par)
     rows = [
         (
             g,
-            g / gc,
+            g / g_c,
             2 * pair.pair_index + side,
             pair.energies[side],
             pair.energies_shifted[side],
@@ -283,17 +291,13 @@ def coupling_sweep(
     selects the axis.  Emits two rows per pair and point in the pinned
     parity table layout.
     """
-    t0 = time.perf_counter()
     grid, meta = _coupling_axis(delta, g_grid, ratio_grid)
     if n_levels % 2 or not 2 <= n_levels <= trunc.dim:
         raise ValueError(f"n_levels must be even and in [2, {trunc.dim}], got {n_levels}")
     eps_par = check_eps_par(eps_par)
-    jobs = [
-        (i, float(delta), float(g), meta["g_c"], trunc.n_trunc, n_levels, eps_par)
-        for i, g in enumerate(grid)
-    ]
+    point = partial(_coupling_point, float(delta), meta["g_c"], trunc, n_levels, eps_par)
     meta.update(kind="coupling_sweep", n_trunc=trunc.n_trunc, n_levels=n_levels, eps_par=eps_par)
-    return _sweep(PARITY_COLUMNS, _coupling_point, jobs, workers, t0, meta)
+    return _sweep(PARITY_COLUMNS, point, list(enumerate(grid.tolist())), workers, meta)
 
 
 def merged_sector_levels(
@@ -324,36 +328,33 @@ def merged_sector_levels(
     return energies[kept], float(tails[kept].max())
 
 
-def _convergence_point(job: tuple) -> tuple[list[tuple], Optional[dict]]:
-    index, delta, g, gc, trunc_list, ref_trunc, n_levels = job
+def _convergence_point(
+    delta: float, g_c: float, truncs: list, ref: Truncation, n_levels: int, item: tuple
+) -> tuple[list[tuple], Optional[dict]]:
+    index, g = item
     params = ModelParams(delta, g)
-    try:
-        ref_energies, ref_tail = merged_sector_levels(
-            params, Truncation(ref_trunc), n_levels
-        )
-        rows = []
-        bad = []
-        for n in trunc_list:
-            energies, tail = merged_sector_levels(params, Truncation(n), n_levels)
-            ok = tail < SENTINEL_THRESHOLD
-            if not ok:
-                bad.append(n)
-            for level in range(n_levels):
-                rows.append(
-                    (
-                        g,
-                        g / gc,
-                        n,
-                        level,
-                        energies[level],
-                        abs(energies[level] - ref_energies[level]),
-                        int(ok),
-                    )
+    ref_energies, ref_tail = _solve_at(index, delta, g, merged_sector_levels, params, ref, n_levels)
+    rows = []
+    bad = []
+    for trunc in truncs:
+        energies, tail = _solve_at(index, delta, g, merged_sector_levels, params, trunc, n_levels)
+        ok = tail < SENTINEL_THRESHOLD
+        if not ok:
+            bad.append(trunc.n_trunc)
+        for level in range(n_levels):
+            rows.append(
+                (
+                    g,
+                    g / g_c,
+                    trunc.n_trunc,
+                    level,
+                    energies[level],
+                    abs(energies[level] - ref_energies[level]),
+                    int(ok),
                 )
-    except SolverError as exc:
-        raise SolverError(f"grid index {index} (delta={delta!r}, g={g!r}): {exc}") from exc
+            )
     if ref_tail >= SENTINEL_THRESHOLD:
-        bad.append(ref_trunc)
+        bad.append(ref.n_trunc)
     return rows, {"grid_index": index, "n_trunc": sorted(set(bad))} if bad else None
 
 
@@ -373,33 +374,35 @@ def convergence_sweep(
     isolates the Fock cutoff and every truncation goes through the same
     solver.  The reference must not be smaller than any candidate.
     """
-    t0 = time.perf_counter()
     grid, meta = _coupling_axis(delta, g_grid, ratio_grid)
     try:
-        trunc_list = [Truncation(int(n)).n_trunc for n in trunc_list]
+        truncs = [Truncation(n) for n in trunc_list]
     except ValueError as exc:
         raise ValueError(f"trunc_list: {exc}") from None
-    if not trunc_list:
+    if not truncs:
         raise ValueError("trunc_list must not be empty")
-    ref_trunc, largest = int(ref_trunc), max(trunc_list)
+    trunc_list = [trunc.n_trunc for trunc in truncs]
+    largest = max(trunc_list)
     if ref_trunc < largest:
         raise ValueError(f"ref_trunc {ref_trunc} is below the largest of trunc_list, {largest}")
+    try:
+        ref = Truncation(ref_trunc)
+    except ValueError as exc:
+        raise ValueError(f"ref_trunc: {exc}") from None
     n_levels = int(n_levels)
     if not 1 <= n_levels <= 2 * min(trunc_list):
         raise ValueError(f"n_levels must be in [1, {2 * min(trunc_list)}], got {n_levels}")
-    jobs = [
-        (i, float(delta), float(g), meta["g_c"], tuple(trunc_list), ref_trunc, n_levels)
-        for i, g in enumerate(grid)
-    ]
+    point = partial(_convergence_point, float(delta), meta["g_c"], truncs, ref, n_levels)
     meta.update(
-        kind="convergence_sweep", trunc_list=trunc_list, ref_trunc=ref_trunc, n_levels=n_levels
+        kind="convergence_sweep", trunc_list=trunc_list, ref_trunc=ref.n_trunc, n_levels=n_levels
     )
-    return _sweep(CONVERGENCE_COLUMNS, _convergence_point, jobs, workers, t0, meta)
+    return _sweep(CONVERGENCE_COLUMNS, point, list(enumerate(grid.tolist())), workers, meta)
 
 
-def _phase_point(job: tuple) -> tuple[list[tuple], Optional[dict]]:
-    delta, grid, pairs, eps_par, n_trunc, n_levels = job
-    trunc = Truncation(n_trunc)
+def _phase_point(
+    pairs: list, eps_par: float, trunc: Truncation, n_levels: int, item: tuple
+) -> tuple[list[tuple], Optional[dict]]:
+    delta, g_c, grid = item
     onsets: dict[int, float] = {}
     failing = []
     for i, g in enumerate(grid):
@@ -413,13 +416,12 @@ def _phase_point(job: tuple) -> tuple[list[tuple], Optional[dict]]:
                 onsets.setdefault(pair, g)
         if len(onsets) == len(pairs):
             break
-    gc = critical_coupling(delta)
     step = grid[1] - grid[0]
     rows = []
     for pair in pairs:
         g = onsets.get(pair, math.nan)
         degenerate = int(first[pair].degenerate)
-        rows.append((delta, gc, pair, g, g / gc, step, int(pair in onsets), degenerate))
+        rows.append((delta, g_c, pair, g, g / g_c, step, int(pair in onsets), degenerate))
     return rows, {"delta": delta, "grid_index": failing} if failing else None
 
 
@@ -442,7 +444,6 @@ def phase_boundary_scan(
     that fail the sentinel are listed per delta in the metadata, beside
     ``n_levels`` (2 * max(pair) + 2), the level count an onset depends on.
     """
-    t0 = time.perf_counter()
     deltas = [float(d) for d in delta_grid]
     if not deltas:
         raise ValueError("delta_grid must not be empty")
@@ -463,10 +464,8 @@ def phase_boundary_scan(
     if ratios.ndim != 1 or ratios.size < 2:
         raise ValueError("ratio_grid must contain at least two points")
     eps_par = check_eps_par(eps_par)
-    jobs = []
-    for d in deltas:
-        grid, _ = _coupling_axis(d, None, ratios)
-        jobs.append((d, tuple(map(float, grid)), tuple(pairs), eps_par, trunc.n_trunc, n_levels))
+    axes = [_coupling_axis(d, None, ratios) for d in deltas]
+    items = [(axis["delta"], axis["g_c"], grid.tolist()) for grid, axis in axes]
     meta = {
         "kind": "phase_boundary_scan",
         "deltas": deltas,
@@ -478,4 +477,5 @@ def phase_boundary_scan(
         "n_trunc": trunc.n_trunc,
         "n_levels": n_levels,
     }
-    return _sweep(PHASE_COLUMNS, _phase_point, jobs, workers, t0, meta)
+    point = partial(_phase_point, pairs, eps_par, trunc, n_levels)
+    return _sweep(PHASE_COLUMNS, point, items, workers, meta)

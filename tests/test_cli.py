@@ -131,6 +131,8 @@ def test_missing_required_options():
         parse_config(["spectrum", "--delta", "1", "--out", "x"])  # no coupling
     with pytest.raises(ConfigError):
         parse_config(["spectrum", "--g", "1", "--out", "x"])  # no delta
+    with pytest.raises(ConfigError, match="missing required option --out"):
+        parse_config(["spectrum", "--delta", "0", "--g", "1", "--out", ""])  # empty out
 
 
 def test_odd_level_count_rejected(tmp_path, capsys):
@@ -592,6 +594,10 @@ def test_phase_diagram_sentinel_failure(tmp_path):
         (["parity", "--delta", "1", "--g", "0.5", "--n-trunc", "1"], "--n-trunc: n_trunc must"),
         (["parity", "--delta", "1", "--g", "0.5", "--n-trunc", "abc"], "--n-trunc: expected an"),
         (["parity", "--delta", "1", "--g", "0:1:-1"], "--g: grid step must be > 0"),
+        (
+            ["phase-diagram", "--delta-grid", "0:1e308:1e-300"],
+            "--delta-grid: grid 0.0:1e+308:1e-300 has too many points to count",
+        ),
         (["parity", "--delta", "1", "--g", "0.5", "--format", "xml"], "--format must be csv"),
     ],
     ids=[
@@ -611,6 +617,7 @@ def test_phase_diagram_sentinel_failure(tmp_path):
         "truncation_below_two",
         "non_integer_truncation",
         "negative_grid_step",
+        "uncountable_delta_grid",
         "unknown_format",
     ],
 )

@@ -8,7 +8,7 @@ import scipy.linalg
 
 from rabi_lab import sweeps
 from rabi_lab.io import render_table
-from rabi_lab.eigensolve import eig_sym_tridiag
+from rabi_lab.eigensolve import SolverError, eig_sym_tridiag
 from rabi_lab.model import (
     ModelParams,
     Truncation,
@@ -51,6 +51,8 @@ def test_grid_values_validation():
         grid_values(0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         grid_values(0.0, 1.0, -0.1)
+    with pytest.raises(ValueError, match="too many points to count"):
+        grid_values(0.0, 1e308, 1e-300)
 
 
 def test_tail_start_index():
@@ -174,12 +176,83 @@ def test_coupling_sweep_grid_argument_exclusivity():
             sweep(1.0, g_grid=[0.4, 0.2], **kwargs)
 
 
-def test_coupling_sweep_worker_count_does_not_change_bytes():
-    kwargs = dict(ratio_grid=[0.0, 0.4, 0.8], n_levels=4, trunc=Truncation(50))
-    seq = coupling_sweep(1.0, workers=1, **kwargs)
-    par = coupling_sweep(1.0, workers=2, **kwargs)
-    assert seq.rows == par.rows
+@pytest.mark.parametrize(
+    "sweep, failing",
+    [
+        (
+            lambda workers: coupling_sweep(
+                1.0, ratio_grid=[0.0, 0.4, 0.8], n_levels=4, trunc=Truncation(50), workers=workers
+            ),
+            False,
+        ),
+        (
+            # N=24 fails the sentinel at g/g_c = 3, so a failure record crosses the pool
+            lambda workers: convergence_sweep(
+                1.0, ratio_grid=[0.3, 3.0], trunc_list=(24, 40), ref_trunc=80, n_levels=2,
+                workers=workers,
+            ),
+            True,
+        ),
+        (
+            lambda workers: phase_boundary_scan(
+                [1.0, 2.0], (0, 1), ratio_grid=[0.5, 1.5, 3.0], trunc=Truncation(20),
+                workers=workers,
+            ),
+            True,
+        ),
+    ],
+    ids=["coupling", "convergence", "phase"],
+)
+def test_sweep_worker_count_does_not_change_bytes(monkeypatch, sweep, failing):
+    monkeypatch.delenv("RABI_LAB_THREADS", raising=False)
+    seq, par = sweep(1), sweep(2)
+    assert (seq.meta["workers"], par.meta["workers"]) == (1, 2)
+    assert repr(seq.rows) == repr(par.rows)  # a nan cell never compares equal, its repr does
     assert render_table(seq.columns, seq.rows) == render_table(par.columns, par.rows)
+    assert seq.meta["sentinel_failures"] == par.meta["sentinel_failures"]
+    assert bool(seq.meta["sentinel_failures"]) == failing
+
+
+@pytest.mark.parametrize(
+    "sweep, solver, g",
+    [
+        (
+            lambda: coupling_sweep(
+                2.0, g_grid=[0.0, 0.5], n_levels=2, trunc=Truncation(20), workers=1
+            ),
+            "solve_point",
+            0.5,
+        ),
+        (
+            lambda: convergence_sweep(
+                2.0, g_grid=[0.0, 0.5], trunc_list=(10,), ref_trunc=20, n_levels=2, workers=1
+            ),
+            "merged_sector_levels",
+            0.5,
+        ),
+        (
+            lambda: phase_boundary_scan(
+                [2.0], (0,), ratio_grid=[0.0, 0.5], trunc=Truncation(20), workers=1
+            ),
+            "solve_point",
+            0.5 * critical_coupling(2.0),
+        ),
+    ],
+    ids=["coupling", "convergence", "phase"],
+)
+def test_solver_failure_names_its_grid_point(monkeypatch, sweep, solver, g):
+    # the second grid point (index 1) is the first with g > 0
+    solve = getattr(sweeps, solver)
+
+    def failing_past_zero_coupling(params, *args):
+        if params.g > 0:
+            raise SolverError("residual check failed")
+        return solve(params, *args)
+
+    monkeypatch.setattr(sweeps, solver, failing_past_zero_coupling)
+    with pytest.raises(SolverError) as excinfo:
+        sweep()
+    assert str(excinfo.value) == f"grid index 1 (delta=2.0, g={g!r}): residual check failed"
 
 
 def test_coupling_sweep_marks_sentinel_failures():
@@ -303,24 +376,55 @@ def test_phase_scan_records_the_level_count_it_solves(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "sweep",
+    "sweep, message",
     [
-        lambda: coupling_sweep(
-            2.0, ratio_grid=[0.5], n_levels=2, trunc=Truncation(10), eps_par=2.0, workers=1
+        (
+            lambda: coupling_sweep(
+                2.0, ratio_grid=[0.5], n_levels=2, trunc=Truncation(10), eps_par=2.0, workers=1
+            ),
+            "eps_par must be in",
         ),
-        lambda: phase_boundary_scan(
-            [2.0], (0,), ratio_grid=[0.1, 0.3], trunc=Truncation(10), eps_par=2.0, workers=1
+        (
+            lambda: phase_boundary_scan(
+                [2.0], (0,), ratio_grid=[0.1, 0.3], trunc=Truncation(10), eps_par=2.0, workers=1
+            ),
+            "eps_par must be in",
         ),
-        lambda: convergence_sweep(
-            1.0, ratio_grid=[0.5], trunc_list=[1, 10], ref_trunc=20, n_levels=2, workers=1
+        (
+            lambda: convergence_sweep(
+                1.0, ratio_grid=[0.5], trunc_list=[1, 10], ref_trunc=20, n_levels=2, workers=1
+            ),
+            "trunc_list: n_trunc must be >= 2",
         ),
-        lambda: convergence_sweep(
-            1.0, ratio_grid=[0.5], trunc_list=[10], ref_trunc=20, n_levels=30, workers=1
+        (
+            lambda: convergence_sweep(
+                1.0, ratio_grid=[0.5], trunc_list=[10], ref_trunc=20, n_levels=30, workers=1
+            ),
+            "n_levels must be in",
+        ),
+        (
+            lambda: convergence_sweep(
+                1.0, ratio_grid=[0.5], trunc_list=[40.7], ref_trunc=80, n_levels=2, workers=1
+            ),
+            "trunc_list: n_trunc must be an integer",
+        ),
+        (
+            lambda: convergence_sweep(
+                1.0, ratio_grid=[0.5], trunc_list=[40], ref_trunc=80.9, n_levels=2, workers=1
+            ),
+            "ref_trunc: n_trunc must be an integer",
         ),
     ],
-    ids=["coupling_eps_par", "phase_eps_par", "candidate_below_two", "levels_beyond_candidate"],
+    ids=[
+        "coupling_eps_par",
+        "phase_eps_par",
+        "candidate_below_two",
+        "levels_beyond_candidate",
+        "non_integer_truncation",
+        "non_integer_reference",
+    ],
 )
-def test_bad_sweep_arguments_solve_nothing(monkeypatch, sweep):
+def test_bad_sweep_arguments_solve_nothing(monkeypatch, sweep, message):
     calls = []
     for name in ("eigh", "eigh_tridiagonal"):
 
@@ -329,7 +433,7 @@ def test_bad_sweep_arguments_solve_nothing(monkeypatch, sweep):
             return _solver(*args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, name, counting)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{message}"):
         sweep()
     assert calls == []
 
