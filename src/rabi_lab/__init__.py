@@ -22,9 +22,7 @@ from .model import (
     shifted_energy,
 )
 from .parity import (
-    FockPopulations,
     PairParity,
-    fock_populations,
     pair_report,
     parity_expectation,
     subspace_parity_trace,
@@ -49,7 +47,6 @@ from .sweeps import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "FockPopulations",
     "ModelParams",
     "PairParity",
     "PositionGrid",
@@ -65,7 +62,6 @@ __all__ = [
     "critical_coupling",
     "eig_sym_dense",
     "eig_sym_tridiag",
-    "fock_populations",
     "grid_values",
     "hermite_basis",
     "pair_report",

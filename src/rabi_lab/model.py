@@ -75,6 +75,13 @@ class ModelParams:
         object.__setattr__(self, "g", float(self.g))
 
 
+def _integer(name: str, value) -> int:
+    """A count as an int; a float such as 2.7 or even 4.0 raises ValueError naming it."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Truncation:
     """Fock-space cutoff: photon numbers 0 .. n_trunc - 1 are retained."""
@@ -82,11 +89,10 @@ class Truncation:
     n_trunc: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_trunc, (int, np.integer)):
-            raise ValueError(f"n_trunc must be an integer, got {self.n_trunc!r}")
-        if self.n_trunc < 2:
-            raise ValueError(f"n_trunc must be >= 2, got {self.n_trunc}")
-        object.__setattr__(self, "n_trunc", int(self.n_trunc))
+        n_trunc = _integer("n_trunc", self.n_trunc)
+        if n_trunc < 2:
+            raise ValueError(f"n_trunc must be >= 2, got {n_trunc}")
+        object.__setattr__(self, "n_trunc", n_trunc)
 
     @property
     def dim(self) -> int:

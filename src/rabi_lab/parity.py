@@ -1,13 +1,16 @@
 """Per-eigenstate parity diagnostics of a solved spectrum.
 
 The conserved parity P is diagonal in the working basis, so expectation
-values reduce to sign-weighted sums of squared amplitudes.  Eigenvalues
-come in pairs (2k, 2k+1) of opposite parity whose splitting collapses
-with coupling; once it falls to the solver's resolution the returned
-eigenvectors are arbitrary mixtures within the pair and per-state <P>
-wanders off +-1.  The two-dimensional trace of P over the pair span is
-basis independent and stays at zero through that regime, which is the
-invariant worth testing against.
+values reduce to sign-weighted sums of squared amplitudes.
+``pair_report`` reads a solved block once: it squares each column once
+and takes that level's <P> and even/odd photon populations (summed over
+spin) from the squares.  Eigenvalues come in pairs (2k, 2k+1) of
+opposite parity whose splitting collapses with coupling; once it falls
+to the solver's resolution the returned eigenvectors are arbitrary
+mixtures within the pair and per-state <P> wanders off +-1.  The
+two-dimensional trace of P over the pair span is basis independent and
+stays at zero through that regime, which is the invariant worth testing
+against.
 
 A state is called regular when |<P>| >= 1 - eps_par for a configurable
 threshold eps_par.  The onset coupling of a pair, the smallest grid point
@@ -27,9 +30,7 @@ from .model import ModelParams, Truncation, parity_diagonal, shifted_energy
 __all__ = [
     "DEFAULT_EPS_PAR",
     "STATE_NORM_TOL",
-    "FockPopulations",
     "PairParity",
-    "fock_populations",
     "pair_report",
     "parity_expectation",
     "subspace_parity_trace",
@@ -77,25 +78,6 @@ def subspace_parity_trace(vectors: np.ndarray, trunc: Truncation) -> float:
 
 
 @dataclass(frozen=True)
-class FockPopulations:
-    """Photon-number populations of one state, summed over spin."""
-
-    populations: np.ndarray
-    p_even: float
-    p_odd: float
-
-
-def fock_populations(state, trunc: Truncation) -> FockPopulations:
-    v = _checked_state(state, trunc)
-    v2 = v * v
-    pops = v2[0::2] + v2[1::2]
-    p_even = float(pops[0::2].sum())
-    p_odd = float(pops[1::2].sum())
-    pops.flags.writeable = False
-    return FockPopulations(populations=pops, p_even=p_even, p_odd=p_odd)
-
-
-@dataclass(frozen=True)
 class PairParity:
     """Diagnostics for one opposite-parity doublet (levels 2k, 2k+1)."""
 
@@ -127,27 +109,31 @@ def pair_report(
     if spectrum.k < 2:
         raise ValueError("need at least two levels to form a pair")
     n_pairs = spectrum.k // 2
+    energies = tuple(spectrum.eigenvalues.tolist())
+    shifted = tuple(shifted_energy(e, params) for e in energies)
+    p = parity_diagonal(trunc)
+    levels = []
+    # each column once, as a contiguous row, so every sum runs in parity_expectation's order
+    for v in np.ascontiguousarray(spectrum.eigenvectors[:, : 2 * n_pairs].T, dtype=float):
+        v2 = _checked_state(v, trunc) ** 2
+        pops = v2[0::2] + v2[1::2]
+        p_state = max(-1.0, min(1.0, float(np.dot(p, v2))))
+        levels.append((p_state, float(pops[0::2].sum()), float(pops[1::2].sum())))
+    parity, p_even, p_odd = zip(*levels)
     out = []
     for k in range(n_pairs):
         lo, hi = 2 * k, 2 * k + 1
-        e_lo, e_hi = float(spectrum.eigenvalues[lo]), float(spectrum.eigenvalues[hi])
-        es_lo = float(shifted_energy(e_lo, params))
-        es_hi = float(shifted_energy(e_hi, params))
-        p_lo = parity_expectation(spectrum.eigenvectors[:, lo], trunc)
-        p_hi = parity_expectation(spectrum.eigenvectors[:, hi], trunc)
-        f_lo = fock_populations(spectrum.eigenvectors[:, lo], trunc)
-        f_hi = fock_populations(spectrum.eigenvectors[:, hi], trunc)
         out.append(
             PairParity(
                 pair_index=k,
-                energies=(e_lo, e_hi),
-                energies_shifted=(es_lo, es_hi),
-                parity=(p_lo, p_hi),
-                gap_shifted=es_hi - es_lo,
+                energies=energies[lo : hi + 1],
+                energies_shifted=shifted[lo : hi + 1],
+                parity=parity[lo : hi + 1],
+                gap_shifted=shifted[hi] - shifted[lo],
                 parity_sum=subspace_parity_trace(spectrum.eigenvectors[:, lo : hi + 1], trunc),
-                p_even=(f_lo.p_even, f_hi.p_even),
-                p_odd=(f_lo.p_odd, f_hi.p_odd),
-                regular=min(abs(p_lo), abs(p_hi)) >= 1.0 - eps_par,
+                p_even=p_even[lo : hi + 1],
+                p_odd=p_odd[lo : hi + 1],
+                regular=min(abs(parity[lo]), abs(parity[hi])) >= 1.0 - eps_par,
                 degenerate=bool(spectrum.near_degenerate[lo]),
             )
         )

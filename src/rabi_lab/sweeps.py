@@ -46,6 +46,7 @@ from .eigensolve import SolverError, Spectrum, eig_sym_dense, eig_sym_tridiag
 from .model import (
     ModelParams,
     Truncation,
+    _integer,
     build_hamiltonian,
     critical_coupling,
     sector_hamiltonian,
@@ -131,7 +132,10 @@ def grid_values(start: float, stop: float, step: float) -> np.ndarray:
     if not math.isfinite((stop - start) / step):
         raise ValueError(f"grid {start}:{stop}:{step} has too many points to count")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(count)
+    try:
+        return start + step * np.arange(count)
+    except (MemoryError, ValueError):  # numpy refuses a size it cannot allocate or address
+        raise ValueError(f"grid {start}:{stop}:{step} has too many points to allocate") from None
 
 
 def tail_start_index(n_trunc: int) -> int:
@@ -140,12 +144,10 @@ def tail_start_index(n_trunc: int) -> int:
 
 
 def tail_population(vectors: np.ndarray, trunc: Truncation) -> float:
-    """Largest tail photon population over the given full-basis columns."""
+    """Largest tail photon population over the columns of a (dim, k) full-basis block."""
     v = np.asarray(vectors, dtype=float)
-    if v.ndim == 1:
-        v = v[:, None]
-    if v.shape[0] != trunc.dim:
-        raise ValueError(f"vectors have length {v.shape[0]}, expected {trunc.dim}")
+    if v.ndim != 2 or v.shape[0] != trunc.dim:
+        raise ValueError(f"vectors must be a ({trunc.dim}, k) block, got shape {v.shape}")
     v2 = v * v
     pops = v2[0::2, :] + v2[1::2, :]
     return float(pops[tail_start_index(trunc.n_trunc):, :].sum(axis=0).max())
@@ -292,6 +294,7 @@ def coupling_sweep(
     parity table layout.
     """
     grid, meta = _coupling_axis(delta, g_grid, ratio_grid)
+    n_levels = _integer("n_levels", n_levels)
     if n_levels % 2 or not 2 <= n_levels <= trunc.dim:
         raise ValueError(f"n_levels must be even and in [2, {trunc.dim}], got {n_levels}")
     eps_par = check_eps_par(eps_par)
@@ -389,7 +392,7 @@ def convergence_sweep(
         ref = Truncation(ref_trunc)
     except ValueError as exc:
         raise ValueError(f"ref_trunc: {exc}") from None
-    n_levels = int(n_levels)
+    n_levels = _integer("n_levels", n_levels)
     if not 1 <= n_levels <= 2 * min(trunc_list):
         raise ValueError(f"n_levels must be in [1, {2 * min(trunc_list)}], got {n_levels}")
     point = partial(_convergence_point, float(delta), meta["g_c"], truncs, ref, n_levels)
@@ -452,7 +455,7 @@ def phase_boundary_scan(
             critical_coupling(d)
     except ValueError as exc:
         raise ValueError(f"delta_grid: {exc}") from None
-    pairs = sorted(set(int(p) for p in pair_indices))
+    pairs = sorted(set(_integer("pair_indices", p) for p in pair_indices))
     if not pairs or pairs[0] < 0:
         raise ValueError(f"pair_indices must be non-negative, got {pair_indices!r}")
     n_levels = 2 * pairs[-1] + 2

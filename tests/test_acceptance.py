@@ -25,7 +25,7 @@ from rabi_lab.model import (
     sector_hamiltonian,
     shifted_energy,
 )
-from rabi_lab.parity import fock_populations, parity_expectation
+from rabi_lab.parity import pair_report, parity_expectation
 from rabi_lab.position import PositionGrid, position_wavefunction, symmetry_defect
 from rabi_lab.sweeps import (
     convergence_sweep,
@@ -266,9 +266,9 @@ def test_wavefunction_parity_correspondence(strong_sweep):
             gap = abs(symmetry_defect(wf) - (1.0 - abs(parity_expectation(v, STRONG_TRUNC))))
             ok = ok and gap <= 1e-4
             checks.append(f"r={ratio} lv={lv} defect gap {gap:.1e}")
-        fp = fock_populations(sp.eigenvectors[:, 0], STRONG_TRUNC)
-        ok = ok and fp.p_even > fp.p_odd
-        checks.append(f"r={ratio} ground p_even-p_odd {fp.p_even - fp.p_odd:+.3f}")
+        ground = pair_report(sp, params, STRONG_TRUNC)[0]
+        ok = ok and ground.p_even[0] > ground.p_odd[0]
+        checks.append(f"r={ratio} ground p_even-p_odd {ground.p_even[0] - ground.p_odd[0]:+.3f}")
 
     # irregular regime located from the sweep itself: the point past the
     # pair-0 onset where the doublet is most strongly mixed
@@ -281,9 +281,9 @@ def test_wavefunction_parity_correspondence(strong_sweep):
     star = min(candidates, key=candidates.get)
     params = ModelParams(DELTA_STRONG, star * gc)
     sp = eig_sym_dense(build_hamiltonian(params, STRONG_TRUNC), k=STRONG_LEVELS)
+    doublet = pair_report(sp, params, STRONG_TRUNC)[0]
     for lv in (0, 1):
-        fp = fock_populations(sp.eigenvectors[:, lv], STRONG_TRUNC)
-        spread = abs(fp.p_even - fp.p_odd)
+        spread = abs(doublet.p_even[lv] - doublet.p_odd[lv])
         ok = ok and spread < 0.2
         checks.append(f"r={star:.2f} lv={lv} |p_even-p_odd| {spread:.3f}")
 

@@ -598,6 +598,20 @@ def test_phase_diagram_sentinel_failure(tmp_path):
             ["phase-diagram", "--delta-grid", "0:1e308:1e-300"],
             "--delta-grid: grid 0.0:1e+308:1e-300 has too many points to count",
         ),
+        # numpy's size limit; then grids of 1e17 points, 800 PB, more than a
+        # process can map on current 64-bit hardware: refused, no memory touched
+        (
+            ["parity", "--delta", "1", "--g-over-gc", "0:1e300:1"],
+            "--g-over-gc: grid 0.0:1e+300:1.0 has too many points to allocate",
+        ),
+        (
+            ["parity", "--delta", "1", "--g", "0:1:1e-17"],
+            "--g: grid 0.0:1.0:1e-17 has too many points to allocate",
+        ),
+        (
+            ["phase-diagram", "--delta-grid", "0:1:1e-17"],
+            "--delta-grid: grid 0.0:1.0:1e-17 has too many points to allocate",
+        ),
         (["parity", "--delta", "1", "--g", "0.5", "--format", "xml"], "--format must be csv"),
     ],
     ids=[
@@ -618,6 +632,9 @@ def test_phase_diagram_sentinel_failure(tmp_path):
         "non_integer_truncation",
         "negative_grid_step",
         "uncountable_delta_grid",
+        "unaddressable_ratio_grid",
+        "unallocatable_coupling_grid",
+        "unallocatable_delta_grid",
         "unknown_format",
     ],
 )

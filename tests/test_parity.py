@@ -1,5 +1,6 @@
 """Per-state parity measures, pair diagnostics, and onset location."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,12 +15,11 @@ from rabi_lab.model import (
     parity_diagonal,
 )
 from rabi_lab.parity import (
-    fock_populations,
     pair_report,
     parity_expectation,
     subspace_parity_trace,
 )
-from rabi_lab.sweeps import coupling_sweep, grid_values, phase_boundary_scan
+from rabi_lab.sweeps import coupling_sweep, grid_values, phase_boundary_scan, solve_point
 
 
 def _basis_state(n, s, trunc):
@@ -74,20 +74,56 @@ def test_sector_weights_and_consistency():
         assert abs((w_plus - w_minus) - parity_expectation(v, tr)) <= 1e-12
 
 
-def test_fock_populations_basis_and_random():
+def test_pair_report_populations_of_fock_states():
+    # at g=0 every eigenvector is a Fock state |n, s>; delta=0.3 keeps the
+    # levels n -+ 0.15 apart, so levels 2n and 2n+1 hold photon number n
+    params = ModelParams(0.3, 0.0)
     tr = Truncation(8)
-    fp = fock_populations(_basis_state(3, 1, tr), tr)
-    assert fp.populations[3] == 1.0
-    assert fp.p_odd == 1.0 and fp.p_even == 0.0
-    rng = np.random.default_rng(29)
-    v = rng.standard_normal(tr.dim)
-    v /= np.linalg.norm(v)
-    fp = fock_populations(v, tr)
-    assert abs(fp.populations.sum() - 1.0) <= 1e-12
-    assert abs(fp.p_even + fp.p_odd - 1.0) <= 1e-12
-    # marginal over spin, by hand
-    want = v[0::2] ** 2 + v[1::2] ** 2
-    assert np.abs(fp.populations - want).max() <= 1e-15
+    pairs = pair_report(eig_sym_dense(build_hamiltonian(params, tr), k=tr.dim), params, tr)
+    assert [pair.pair_index for pair in pairs] == list(range(tr.n_trunc))
+    for n, pair in enumerate(pairs):
+        even = n % 2 == 0
+        assert pair.p_even == (float(even), float(even))
+        assert pair.p_odd == (float(not even), float(not even))
+        assert pair.parity == (-((-1.0) ** n), (-1.0) ** n)  # s = -1 lies lower
+        assert pair.parity_sum == 0.0
+
+
+def _per_vector_levels(spectrum, trunc):
+    """<P>, p_even, p_odd of each reported level, from a contiguous copy of its column."""
+    levels = []
+    for level in range(2 * (spectrum.k // 2)):
+        c = np.array(spectrum.eigenvectors[:, level])
+        parity = max(-1.0, min(1.0, float(np.dot(parity_diagonal(trunc), c * c))))
+        pops = c[0::2] ** 2 + c[1::2] ** 2
+        levels.append((parity, float(pops[0::2].sum()), float(pops[1::2].sum())))
+    return levels
+
+
+@pytest.mark.parametrize(
+    "delta, ratio, n_trunc, k",
+    [(1.0, 0.5, 40, 8), (5.0, 2.0, 200, 5), (50.0, 1.45, 1000, 8)],
+    ids=["regular", "odd_level_count", "mixed_doublet"],
+)
+def test_pair_report_matches_per_vector_formulas_bitwise(delta, ratio, n_trunc, k):
+    # the one-pass report gives the bits of the per-column formulas; the
+    # parity and wavefunction_summary tables take <P> from pair_report and
+    # from parity_expectation, so those two must agree exactly as well
+    params = ModelParams(delta, ratio * critical_coupling(delta))
+    tr = Truncation(n_trunc)
+    spectrum = solve_point(params, tr, k)
+    pairs = pair_report(spectrum, params, tr)
+    assert len(pairs) == k // 2
+    got = [
+        (pair.parity[side], pair.p_even[side], pair.p_odd[side])
+        for pair in pairs
+        for side in (0, 1)
+    ]
+    assert [[x.hex() for x in level] for level in got] == [
+        [x.hex() for x in level] for level in _per_vector_levels(spectrum, tr)
+    ]
+    for level, (parity, _, _) in enumerate(got):
+        assert parity.hex() == parity_expectation(spectrum.eigenvectors[:, level], tr).hex()
 
 
 def test_parity_reconstructed_from_sector_resolved_populations():
@@ -157,8 +193,14 @@ def test_pair_report_validation():
     with pytest.raises(ValueError):
         pair_report(sp, params, tr, eps_par=1.0)
     single = eig_sym_dense(build_hamiltonian(params, tr), k=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least two levels"):
         pair_report(single, params, tr)
+    with pytest.raises(ValueError, match="state length 40 does not match dimension 42"):
+        pair_report(sp, params, Truncation(21))
+    vectors = sp.eigenvectors.copy()
+    vectors[:, 3] *= 1.0 + 1e-9
+    with pytest.raises(ValueError, match="state norm"):
+        pair_report(dataclasses.replace(sp, eigenvectors=vectors), params, tr)
 
 
 def test_onset_none_in_regular_window():

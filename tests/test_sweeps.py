@@ -44,7 +44,7 @@ def test_grid_values_inclusive_endpoints():
     assert np.array_equal(g, np.array([1.0]))
 
 
-def test_grid_values_validation():
+def test_grid_values_validation(monkeypatch):
     with pytest.raises(ValueError):
         grid_values(1.0, 0.0, 0.1)
     with pytest.raises(ValueError):
@@ -53,6 +53,18 @@ def test_grid_values_validation():
         grid_values(0.0, 1.0, -0.1)
     with pytest.raises(ValueError, match="too many points to count"):
         grid_values(0.0, 1e308, 1e-300)
+    # numpy's own size limit, and an allocation refused without touching memory
+    with pytest.raises(
+        ValueError, match=r"^grid 0\.0:1e\+300:1\.0 has too many points to allocate$"
+    ):
+        grid_values(0.0, 1e300, 1.0)
+
+    def refuse(count):
+        raise MemoryError(f"Unable to allocate {8 * count} bytes")
+
+    monkeypatch.setattr(sweeps.np, "arange", refuse)
+    with pytest.raises(ValueError, match=r"^grid 0\.0:1\.0:0\.5 has too many points to allocate$"):
+        grid_values(0.0, 1.0, 0.5)
 
 
 def test_tail_start_index():
@@ -414,6 +426,24 @@ def test_phase_scan_records_the_level_count_it_solves(monkeypatch):
             ),
             "ref_trunc: n_trunc must be an integer",
         ),
+        (
+            lambda: phase_boundary_scan(
+                [1.0], [0.7], ratio_grid=[0.1, 0.2], trunc=Truncation(10), workers=1
+            ),
+            "pair_indices must be an integer, got 0.7",
+        ),
+        (
+            lambda: convergence_sweep(
+                1.0, ratio_grid=[0.5], trunc_list=[10], ref_trunc=20, n_levels=2.7, workers=1
+            ),
+            "n_levels must be an integer, got 2.7",
+        ),
+        (
+            lambda: coupling_sweep(
+                2.0, ratio_grid=[0.5], n_levels=4.0, trunc=Truncation(10), workers=1
+            ),
+            "n_levels must be an integer, got 4.0",
+        ),
     ],
     ids=[
         "coupling_eps_par",
@@ -422,6 +452,9 @@ def test_phase_scan_records_the_level_count_it_solves(monkeypatch):
         "levels_beyond_candidate",
         "non_integer_truncation",
         "non_integer_reference",
+        "non_integer_pair_index",
+        "non_integer_convergence_levels",
+        "integral_float_coupling_levels",
     ],
 )
 def test_bad_sweep_arguments_solve_nothing(monkeypatch, sweep, message):
