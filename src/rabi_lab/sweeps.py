@@ -8,8 +8,8 @@ thread count they are identical for any worker count.  Bound inputs are
 data only: a point looks the solve, sentinel and parity functions up as
 module globals when it runs, so a wrapper installed on this module (the
 benchmark tracer, ``perfbench/tracing.py``) sees every call.
-Worker count resolution: an explicit request is capped by the
-RABI_LAB_THREADS environment variable (0 means the CPU count), default 1.
+The ``workers`` argument alone sets the process count (0 means the CPU
+count, default 1), at most one per item; meta ``workers`` records it.
 
 Each point is guarded by a truncation sentinel: the summed photon
 population of every retained state from photon index ceil(0.9 * n_trunc)
@@ -155,46 +155,34 @@ def tail_population(vectors: np.ndarray, trunc: Truncation) -> float:
 
 def solve_point(params: ModelParams, trunc: Truncation, n_levels: int) -> Spectrum:
     """Dense full-operator solve for the lowest n_levels at one parameter point."""
+    n_levels = _integer("n_levels", n_levels)
     if not 1 <= n_levels <= trunc.dim:
         raise ValueError(f"n_levels must be in [1, {trunc.dim}], got {n_levels}")
     return eig_sym_dense(build_hamiltonian(params, trunc), n_levels)
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
-    """Effective worker count: requested (default 1) capped by RABI_LAB_THREADS."""
+    """Process count from the request alone: None gives 1, 0 the CPU count."""
     if workers is None:
-        workers = 1
-    workers = int(workers)
+        return 1
+    workers = _integer("workers", workers)
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    env = os.environ.get("RABI_LAB_THREADS", "").strip()
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(f"RABI_LAB_THREADS must be an integer, got {env!r}") from None
-        if cap < 0:
-            raise ValueError(f"RABI_LAB_THREADS must be >= 0, got {cap}")
-        if cap == 0:
-            cap = os.cpu_count() or 1
-        workers = min(workers, cap)
-    return max(1, workers)
+    return workers or os.cpu_count() or 1
 
 
 def _sweep(columns: tuple, point, items: list, workers: Optional[int], meta: dict) -> SweepResult:
     """Map the point over the items, on a spawn pool for workers > 1, and join results in order."""
     t0 = time.perf_counter()
-    effective = resolve_workers(workers)
-    if effective <= 1 or len(items) <= 1:
+    workers = min(resolve_workers(workers), len(items))
+    if workers <= 1:
         results = [point(item) for item in items]
     else:
         ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=min(effective, len(items)), mp_context=ctx) as pool:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
             results = list(pool.map(point, items, chunksize=1))
     meta.update(
-        workers=effective,
+        workers=workers,
         sentinel_failures=[bad for _, bad in results if bad is not None],
         wall_time_s=time.perf_counter() - t0,
     )
@@ -313,6 +301,7 @@ def merged_sector_levels(
     of the first nonzero component, the same rule the dense path applies:
     photon n of sector s sits at 2n + [s * (-1)^n == -1].
     """
+    n_levels = _integer("n_levels", n_levels)
     if not 1 <= n_levels <= trunc.dim:
         raise ValueError(f"n_levels must be in [1, {trunc.dim}], got {n_levels}")
     per_sector = min(n_levels, trunc.n_trunc)

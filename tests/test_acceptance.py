@@ -290,8 +290,7 @@ def test_wavefunction_parity_correspondence(strong_sweep):
     _verdict("wavefunction-parity-correspondence", ok, "; ".join(checks))
 
 
-def test_worker_schedule_independence(monkeypatch):
-    monkeypatch.delenv("RABI_LAB_THREADS", raising=False)
+def test_worker_schedule_independence():
     kwargs = dict(
         ratio_grid=grid_values(0.0, 1.5, 0.1),
         n_levels=STRONG_LEVELS,

@@ -69,3 +69,15 @@ def test_every_export_has_a_caller_in_src():
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 used.add(node.value)
     assert [name for name in exported if name.split(".")[1] not in used] == []
+
+
+def test_src_reads_no_environment():
+    # a sweep's output and its process count come from its arguments alone,
+    # so no module reads os.environ, os.environb or os.getenv
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "environb", "getenv")
+    ]
+    assert reads == []

@@ -189,12 +189,13 @@ def test_coupling_sweep_grid_argument_exclusivity():
 
 
 @pytest.mark.parametrize(
-    "sweep, failing",
+    "sweep, items, failing",
     [
         (
             lambda workers: coupling_sweep(
                 1.0, ratio_grid=[0.0, 0.4, 0.8], n_levels=4, trunc=Truncation(50), workers=workers
             ),
+            3,
             False,
         ),
         (
@@ -203,6 +204,7 @@ def test_coupling_sweep_grid_argument_exclusivity():
                 1.0, ratio_grid=[0.3, 3.0], trunc_list=(24, 40), ref_trunc=80, n_levels=2,
                 workers=workers,
             ),
+            2,
             True,
         ),
         (
@@ -210,18 +212,20 @@ def test_coupling_sweep_grid_argument_exclusivity():
                 [1.0, 2.0], (0, 1), ratio_grid=[0.5, 1.5, 3.0], trunc=Truncation(20),
                 workers=workers,
             ),
+            2,
             True,
         ),
     ],
     ids=["coupling", "convergence", "phase"],
 )
-def test_sweep_worker_count_does_not_change_bytes(monkeypatch, sweep, failing):
-    monkeypatch.delenv("RABI_LAB_THREADS", raising=False)
-    seq, par = sweep(1), sweep(2)
-    assert (seq.meta["workers"], par.meta["workers"]) == (1, 2)
-    assert repr(seq.rows) == repr(par.rows)  # a nan cell never compares equal, its repr does
-    assert render_table(seq.columns, seq.rows) == render_table(par.columns, par.rows)
-    assert seq.meta["sentinel_failures"] == par.meta["sentinel_failures"]
+def test_sweep_worker_count_does_not_change_bytes(sweep, items, failing):
+    # a request for more processes than items runs, and records, one per item
+    seq, par, over = sweep(1), sweep(2), sweep(4)
+    assert [res.meta["workers"] for res in (seq, par, over)] == [1, 2, items]
+    for res in (par, over):
+        assert repr(seq.rows) == repr(res.rows)  # a nan cell never compares equal, its repr does
+        assert render_table(seq.columns, seq.rows) == render_table(res.columns, res.rows)
+        assert seq.meta["sentinel_failures"] == res.meta["sentinel_failures"]
     assert bool(seq.meta["sentinel_failures"]) == failing
 
 
@@ -444,6 +448,20 @@ def test_phase_scan_records_the_level_count_it_solves(monkeypatch):
             ),
             "n_levels must be an integer, got 4.0",
         ),
+        (
+            lambda: solve_point(ModelParams(1.0, 0.5), Truncation(10), 2.7),
+            "n_levels must be an integer, got 2.7",
+        ),
+        (
+            lambda: merged_sector_levels(ModelParams(1.0, 0.5), Truncation(10), 2.7),
+            "n_levels must be an integer, got 2.7",
+        ),
+        (
+            lambda: coupling_sweep(
+                2.0, ratio_grid=[0.5, 1.0], n_levels=2, trunc=Truncation(10), workers=2.7
+            ),
+            "workers must be an integer, got 2.7",
+        ),
     ],
     ids=[
         "coupling_eps_par",
@@ -455,6 +473,9 @@ def test_phase_scan_records_the_level_count_it_solves(monkeypatch):
         "non_integer_pair_index",
         "non_integer_convergence_levels",
         "integral_float_coupling_levels",
+        "non_integer_point_levels",
+        "non_integer_sector_levels",
+        "non_integer_workers",
     ],
 )
 def test_bad_sweep_arguments_solve_nothing(monkeypatch, sweep, message):
@@ -471,20 +492,13 @@ def test_bad_sweep_arguments_solve_nothing(monkeypatch, sweep, message):
     assert calls == []
 
 
-def test_resolve_workers_env_cap(monkeypatch):
-    monkeypatch.delenv("RABI_LAB_THREADS", raising=False)
-    assert resolve_workers(None) == 1
+def test_resolve_workers(monkeypatch):
+    # the environment plays no part, whatever it holds
+    monkeypatch.setenv("RABI_LAB_THREADS", "1")
     assert resolve_workers(4) == 4
-    monkeypatch.setenv("RABI_LAB_THREADS", "2")
-    assert resolve_workers(8) == 2
     assert resolve_workers(None) == 1
-    monkeypatch.setenv("RABI_LAB_THREADS", "0")
-    auto_cap = os.cpu_count() or 1
-    assert resolve_workers(8) == min(8, auto_cap)
-    assert resolve_workers(0) >= 1
-    monkeypatch.setenv("RABI_LAB_THREADS", "junk")
-    with pytest.raises(ValueError):
-        resolve_workers(2)
-    monkeypatch.delenv("RABI_LAB_THREADS")
-    with pytest.raises(ValueError):
-        resolve_workers(-1)
+    assert resolve_workers(0) == (os.cpu_count() or 1)
+    for bad, message in ((-1, "workers must be >= 0"), (2.7, "workers must be an integer"),
+                         (2.0, "workers must be an integer")):
+        with pytest.raises(ValueError, match=message):
+            resolve_workers(bad)
