@@ -1,12 +1,11 @@
 """Symmetric eigensolvers with enforced accuracy contracts.
 
 Two storage paths: dense (full two-component operator) and tridiagonal
-(single parity sector).  Both return a ``Spectrum`` whose eigenvalues are
-ascending, bitwise-equal eigenvalues ordered by the basis index of their
-eigenvector's first nonzero component.  Every returned set of eigenpairs
-passes one accuracy contract (residual, normalization and orthogonality
-bounds); a violation raises ``SolverError`` instead of returning silently
-degraded data.
+(single parity sector).  Both return a ``Spectrum`` in the level order of
+``_tie_order``, which the sector merge in ``sweeps`` shares.  Every
+returned set of eigenpairs passes one accuracy contract (residual,
+normalization and orthogonality bounds); a violation raises
+``SolverError`` instead of returning silently degraded data.
 
 Solves are deterministic for identical inputs within one build of the
 underlying LAPACK, which is what makes sweep output byte-reproducible.
@@ -21,6 +20,8 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
+
+from .model import _integer
 
 __all__ = [
     "DEGENERACY_RTOL",
@@ -80,6 +81,11 @@ def _tridiag_matvec(diag: np.ndarray, offdiag: np.ndarray, v: np.ndarray) -> np.
     return out
 
 
+def _tie_order(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Level order: by energy, exact ties by the index of the first component above 1e-12."""
+    return np.lexsort((np.argmax(np.abs(v) > 1e-12, axis=0), w))
+
+
 def _finalize(w: np.ndarray, v: np.ndarray, matvec, scale: float, path: str) -> Spectrum:
     """Tie-order the raw eigenpairs, enforce the contract, wrap as a Spectrum.
 
@@ -87,7 +93,7 @@ def _finalize(w: np.ndarray, v: np.ndarray, matvec, scale: float, path: str) -> 
     failing level or an off-diagonal Gram entry above ORTHO_TOL.  Every
     comparison is written so that NaN fails it.
     """
-    order = np.lexsort((np.argmax(np.abs(v) > 1e-12, axis=0), w))
+    order = _tie_order(w, v)
     w, v = w[order], v[:, order]
     residuals = np.linalg.norm(matvec(v) - v * w, axis=0)
     norm_defects = np.abs(np.linalg.norm(v, axis=0) - 1.0)
@@ -125,8 +131,7 @@ def eig_sym_dense(matrix: np.ndarray, k: Optional[int] = None) -> Spectrum:
     if not np.array_equal(m, m.T):
         raise ValueError("matrix is not exactly symmetric")
     dim = m.shape[0]
-    if k is None:
-        k = dim
+    k = dim if k is None else _integer("k", k)
     if not 1 <= k <= dim:
         raise ValueError(f"k must be in [1, {dim}], got {k}")
     try:
@@ -148,8 +153,7 @@ def eig_sym_tridiag(
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise ValueError("tridiagonal entries must be finite")
     dim = len(d)
-    if k is None:
-        k = dim
+    k = dim if k is None else _integer("k", k)
     if not 1 <= k <= dim:
         raise ValueError(f"k must be in [1, {dim}], got {k}")
     try:

@@ -22,7 +22,7 @@ one, which preserves that label, so H never connects opposite parities
 and the commutator [H, P] vanishes identically even at finite truncation.
 
 Restricting to a fixed parity p forces s = p * (-1)**n and leaves a real
-symmetric tridiagonal matrix in n alone:
+symmetric tridiagonal matrix in n alone; the dense matrix is built from it:
 
     diag[n]    = n + p * (-1)**n * delta / 2
     offdiag[n] = g * sqrt(n + 1)
@@ -127,25 +127,18 @@ def parity_diagonal(trunc: Truncation) -> np.ndarray:
 
 
 def build_hamiltonian(params: ModelParams, trunc: Truncation) -> np.ndarray:
-    """Dense Hamiltonian in the interleaved (n, s) basis.
+    """Dense Hamiltonian in the interleaved (n, s) basis, from the sector tridiagonals.
 
-    Real symmetric by construction: the returned array equals its own
-    transpose bitwise.  Diagonal entries are n + s * delta / 2; the
-    coupling g * sqrt(n + 1) joins (n, s) to (n + 1, -s).
+    Each sector's entries go on its parity's rows and columns, each off-diagonal
+    one to (i, j) and (j, i): bitwise symmetric and parity-block-diagonal by construction.
     """
-    dim = trunc.dim
-    h = np.zeros((dim, dim))
-    n = np.arange(trunc.n_trunc)
-    h[2 * n, 2 * n] = n + 0.5 * params.delta
-    h[2 * n + 1, 2 * n + 1] = n - 0.5 * params.delta
-    if trunc.n_trunc > 1:
-        m = np.arange(trunc.n_trunc - 1)
-        c = params.g * np.sqrt(m + 1.0)
-        # (n, +1) <-> (n+1, -1) sits at (2n, 2n+3); (n, -1) <-> (n+1, +1) at (2n+1, 2n+2)
-        h[2 * m, 2 * m + 3] = c
-        h[2 * m + 3, 2 * m] = c
-        h[2 * m + 1, 2 * m + 2] = c
-        h[2 * m + 2, 2 * m + 1] = c
+    h = np.zeros((trunc.dim, trunc.dim))
+    for sector in (1, -1):
+        diag, offdiag = sector_hamiltonian(params, trunc, sector)
+        rows = np.flatnonzero(parity_diagonal(trunc) == sector)
+        h[rows, rows] = diag
+        h[rows[:-1], rows[1:]] = offdiag
+        h[rows[1:], rows[:-1]] = offdiag
     return h
 
 

@@ -24,8 +24,8 @@ a command-line option feeds is required; its default is the CLI's.
 Dense points run through ``_dense_point`` (solve, sentinel, pair report);
 ``phase_boundary_scan`` walks each delta's grid with it to find each pair's
 onset, the first coupling at which a member has |<P>| < 1 - eps_par.  The
-convergence sweep takes its energies from ``merged_sector_levels``, which
-merges the two tridiagonal sector spectra under the dense path's tie order.
+convergence sweep's ``merged_sector_levels`` places both sector spectra on
+the full basis under the dense path's tie order and ``tail_population``.
 A solver failure is re-raised naming the grid index, delta and g of its point.
 """
 
@@ -42,13 +42,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .eigensolve import SolverError, Spectrum, eig_sym_dense, eig_sym_tridiag
+from .eigensolve import SolverError, Spectrum, _tie_order, eig_sym_dense, eig_sym_tridiag
 from .model import (
     ModelParams,
     Truncation,
     _integer,
     build_hamiltonian,
     critical_coupling,
+    parity_diagonal,
     sector_hamiltonian,
 )
 from .parity import DEFAULT_EPS_PAR, PairParity, check_eps_par, pair_report
@@ -144,13 +145,12 @@ def tail_start_index(n_trunc: int) -> int:
 
 
 def tail_population(vectors: np.ndarray, trunc: Truncation) -> float:
-    """Largest tail photon population over the columns of a (dim, k) full-basis block."""
+    """Largest tail photon population over a (dim, k) block's columns, in any memory layout."""
     v = np.asarray(vectors, dtype=float)
     if v.ndim != 2 or v.shape[0] != trunc.dim:
         raise ValueError(f"vectors must be a ({trunc.dim}, k) block, got shape {v.shape}")
-    v2 = v * v
-    pops = v2[0::2, :] + v2[1::2, :]
-    return float(pops[tail_start_index(trunc.n_trunc):, :].sum(axis=0).max())
+    v2 = np.asfortranarray(v[2 * tail_start_index(trunc.n_trunc):]) ** 2
+    return float((v2[0::2] + v2[1::2]).sum(axis=0).max())
 
 
 def solve_point(params: ModelParams, trunc: Truncation, n_levels: int) -> Spectrum:
@@ -297,27 +297,24 @@ def merged_sector_levels(
     """Lowest n_levels of the union of both parity sectors.
 
     Returns (energies ascending, max tail population over the kept
-    states).  Exact cross-sector ties are ordered by the full-basis index
-    of the first nonzero component, the same rule the dense path applies:
-    photon n of sector s sits at 2n + [s * (-1)^n == -1].
+    states).  Each sector's eigenvectors sit on its parity's rows of one
+    full-basis block, as in ``build_hamiltonian``, so the dense path's tie
+    order and ``tail_population`` apply to the merge unchanged.
     """
     n_levels = _integer("n_levels", n_levels)
     if not 1 <= n_levels <= trunc.dim:
         raise ValueError(f"n_levels must be in [1, {trunc.dim}], got {n_levels}")
     per_sector = min(n_levels, trunc.n_trunc)
-    t0 = tail_start_index(trunc.n_trunc)
-    energies, keys, tails = [], [], []
-    for sector in (1, -1):
+    parity = parity_diagonal(trunc)
+    energies = np.empty(2 * per_sector)
+    block = np.zeros((trunc.dim, 2 * per_sector), order="F")  # column-major for column reductions
+    for sector, cols in ((1, np.s_[:per_sector]), (-1, np.s_[per_sector:])):
         diag, off = sector_hamiltonian(params, trunc, sector)
         spec = eig_sym_tridiag(diag, off, per_sector)
-        v = spec.eigenvectors
-        n0 = np.argmax(np.abs(v) > 1e-12, axis=0)
-        energies.append(spec.eigenvalues)
-        keys.append(2 * n0 + (sector * (-1) ** n0 == -1))
-        tails.append((v[t0:] ** 2).sum(axis=0))
-    energies, keys, tails = (np.concatenate(a) for a in (energies, keys, tails))
-    kept = np.lexsort((keys, energies))[:n_levels]
-    return energies[kept], float(tails[kept].max())
+        energies[cols] = spec.eigenvalues
+        block[np.flatnonzero(parity == sector), cols] = spec.eigenvectors
+    kept = _tie_order(energies, block)[:n_levels]
+    return energies[kept], tail_population(block[:, kept], trunc)
 
 
 def _convergence_point(
@@ -325,29 +322,25 @@ def _convergence_point(
 ) -> tuple[list[tuple], Optional[dict]]:
     index, g = item
     params = ModelParams(delta, g)
-    ref_energies, ref_tail = _solve_at(index, delta, g, merged_sector_levels, params, ref, n_levels)
-    rows = []
-    bad = []
-    for trunc in truncs:
-        energies, tail = _solve_at(index, delta, g, merged_sector_levels, params, trunc, n_levels)
-        ok = tail < SENTINEL_THRESHOLD
-        if not ok:
-            bad.append(trunc.n_trunc)
-        for level in range(n_levels):
-            rows.append(
-                (
-                    g,
-                    g / g_c,
-                    trunc.n_trunc,
-                    level,
-                    energies[level],
-                    abs(energies[level] - ref_energies[level]),
-                    int(ok),
-                )
-            )
-    if ref_tail >= SENTINEL_THRESHOLD:
-        bad.append(ref.n_trunc)
-    return rows, {"grid_index": index, "n_trunc": sorted(set(bad))} if bad else None
+    energies, ok = {}, {}
+    for tr in dict.fromkeys((ref, *truncs)):  # reference first; a repeated N solves once
+        energies[tr], tail = _solve_at(index, delta, g, merged_sector_levels, params, tr, n_levels)
+        ok[tr] = tail < SENTINEL_THRESHOLD
+    rows = [
+        (
+            g,
+            g / g_c,
+            trunc.n_trunc,
+            level,
+            energies[trunc][level],
+            abs(energies[trunc][level] - energies[ref][level]),
+            int(ok[trunc]),
+        )
+        for trunc in truncs
+        for level in range(n_levels)
+    ]
+    bad = sorted(trunc.n_trunc for trunc in ok if not ok[trunc])
+    return rows, {"grid_index": index, "n_trunc": bad} if bad else None
 
 
 def convergence_sweep(
@@ -374,13 +367,13 @@ def convergence_sweep(
     if not truncs:
         raise ValueError("trunc_list must not be empty")
     trunc_list = [trunc.n_trunc for trunc in truncs]
-    largest = max(trunc_list)
-    if ref_trunc < largest:
-        raise ValueError(f"ref_trunc {ref_trunc} is below the largest of trunc_list, {largest}")
     try:
         ref = Truncation(ref_trunc)
     except ValueError as exc:
         raise ValueError(f"ref_trunc: {exc}") from None
+    largest = max(trunc_list)
+    if ref.n_trunc < largest:
+        raise ValueError(f"ref_trunc {ref_trunc} is below the largest of trunc_list, {largest}")
     n_levels = _integer("n_levels", n_levels)
     if not 1 <= n_levels <= 2 * min(trunc_list):
         raise ValueError(f"n_levels must be in [1, {2 * min(trunc_list)}], got {n_levels}")
@@ -445,7 +438,9 @@ def phase_boundary_scan(
     except ValueError as exc:
         raise ValueError(f"delta_grid: {exc}") from None
     pairs = sorted(set(_integer("pair_indices", p) for p in pair_indices))
-    if not pairs or pairs[0] < 0:
+    if not pairs:
+        raise ValueError("pair_indices must not be empty")
+    if pairs[0] < 0:
         raise ValueError(f"pair_indices must be non-negative, got {pair_indices!r}")
     n_levels = 2 * pairs[-1] + 2
     if n_levels > trunc.dim:

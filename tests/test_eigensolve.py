@@ -78,6 +78,11 @@ def test_input_validation():
         eig_sym_tridiag(np.ones(4), np.ones(4))
     with pytest.raises(ValueError):
         eig_sym_tridiag(np.array([1.0, np.nan]), np.array([0.2]))
+    # a float level count is refused, not floored or passed on to LAPACK
+    with pytest.raises(ValueError, match="^k must be an integer, got 2.7$"):
+        eig_sym_dense(np.diag(np.arange(6.0)), 2.7)
+    with pytest.raises(ValueError, match="^k must be an integer, got 2.5$"):
+        eig_sym_tridiag(np.arange(6.0), np.ones(5), 2.5)
 
 
 def test_asymmetry_beyond_tolerance_is_rejected():

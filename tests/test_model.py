@@ -110,6 +110,26 @@ def test_commutator_with_parity_vanishes_exactly():
         assert np.abs(h * p[None, :] - p[:, None] * h).max() == 0.0
 
 
+def test_hamiltonian_entries_explicit():
+    # the interleaved-index formula, written out: diagonal n +- delta/2, and
+    # the coupling g sqrt(m + 1) joining (m, +1)-(m+1, -1) at (2m, 2m+3) and
+    # (m, -1)-(m+1, +1) at (2m+1, 2m+2); the sector assembly must match it bitwise
+    for n_trunc in (2, 3, 9, 40):
+        for delta in (0.0, 2.5, 50.0):
+            for g in (0.0, 1.7):
+                want = np.zeros((2 * n_trunc, 2 * n_trunc))
+                n = np.arange(n_trunc)
+                want[2 * n, 2 * n] = n + 0.5 * delta
+                want[2 * n + 1, 2 * n + 1] = n - 0.5 * delta
+                m = np.arange(n_trunc - 1)
+                c = g * np.sqrt(m + 1.0)
+                want[2 * m, 2 * m + 3] = want[2 * m + 3, 2 * m] = c
+                want[2 * m + 1, 2 * m + 2] = want[2 * m + 2, 2 * m + 1] = c
+                h = build_hamiltonian(ModelParams(delta, g), Truncation(n_trunc))
+                assert np.array_equal(h, want)
+                assert h.tobytes() == want.tobytes()
+
+
 def test_hamiltonian_matches_spin_z_kron_assembly():
     # same operator built in the spin-z product basis, then rotated into
     # the spin-x layout, must match entrywise up to rotation roundoff

@@ -138,7 +138,29 @@ def test_merge_matches_per_vector_reference(delta, g, n_trunc, n_levels):
     energies, tail = merged_sector_levels(params, tr, n_levels)
     ref_energies, ref_tail = _merged_levels_by_loop(params, tr, n_levels)
     assert np.array_equal(energies, ref_energies)
-    assert abs(tail - ref_tail) <= 1e-13 * max(tail, ref_tail) + 1e-300
+    assert tail == ref_tail
+
+
+def test_every_sweep_judges_its_sentinel_with_tail_population(monkeypatch):
+    # the dense and the sector paths share one sentinel: every solve of every
+    # sweep goes through sweeps.tail_population, the convergence reference
+    # first, and a reference that is also a candidate is solved once
+    seen = []
+    tail = sweeps.tail_population
+
+    def recording(vectors, trunc):
+        seen.append(trunc.n_trunc)
+        return tail(vectors, trunc)
+
+    monkeypatch.setattr(sweeps, "tail_population", recording)
+    coupling_sweep(2.0, ratio_grid=[0.5], n_levels=2, trunc=Truncation(10), workers=1)
+    phase_boundary_scan([2.0], (0,), ratio_grid=[0.1, 0.3], trunc=Truncation(12), workers=1)
+    for trunc_list in ([14, 16], [14, 18]):
+        res = convergence_sweep(
+            2.0, ratio_grid=[0.5], trunc_list=trunc_list, ref_trunc=18, n_levels=4, workers=1
+        )
+    assert seen == [10, 12, 12, 18, 14, 16, 18, 14]
+    assert [row[5] for row in res.rows[4:]] == [0.0] * 4
 
 
 def test_merge_orders_cross_sector_ties_by_full_basis_index():
@@ -462,6 +484,24 @@ def test_phase_scan_records_the_level_count_it_solves(monkeypatch):
             ),
             "workers must be an integer, got 2.7",
         ),
+        (
+            lambda: convergence_sweep(
+                1.0, ratio_grid=[0.5], trunc_list=[10], ref_trunc=None, n_levels=2, workers=1
+            ),
+            "ref_trunc: n_trunc must be an integer, got None",
+        ),
+        (
+            lambda: convergence_sweep(
+                1.0, ratio_grid=[0.5], trunc_list=[10], ref_trunc="40", n_levels=2, workers=1
+            ),
+            "ref_trunc: n_trunc must be an integer, got '40'",
+        ),
+        (
+            lambda: phase_boundary_scan(
+                [1.0], [], ratio_grid=[0.1, 0.2], trunc=Truncation(10), workers=1
+            ),
+            "pair_indices must not be empty$",
+        ),
     ],
     ids=[
         "coupling_eps_par",
@@ -476,6 +516,9 @@ def test_phase_scan_records_the_level_count_it_solves(monkeypatch):
         "non_integer_point_levels",
         "non_integer_sector_levels",
         "non_integer_workers",
+        "missing_reference",
+        "string_reference",
+        "no_pairs",
     ],
 )
 def test_bad_sweep_arguments_solve_nothing(monkeypatch, sweep, message):
