@@ -25,7 +25,6 @@ from .parity import (
     PairParity,
     pair_report,
     parity_expectation,
-    subspace_parity_trace,
 )
 from .position import (
     PositionGrid,
@@ -72,7 +71,6 @@ __all__ = [
     "sector_hamiltonian",
     "shifted_energy",
     "solve_point",
-    "subspace_parity_trace",
     "symmetry_defect",
     "tail_population",
 ]

@@ -45,7 +45,6 @@ import numpy as np
 __all__ = [
     "ModelParams",
     "Truncation",
-    "basis_labels",
     "build_hamiltonian",
     "critical_coupling",
     "parity_diagonal",
@@ -76,8 +75,8 @@ class ModelParams:
 
 
 def _integer(name: str, value) -> int:
-    """A count as an int; a float such as 2.7 or even 4.0 raises ValueError naming it."""
-    if not isinstance(value, (int, np.integer)):
+    """A count as an int; a bool or a float such as 2.7 or even 4.0 raises ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -113,17 +112,12 @@ def shifted_energy(energy, params: ModelParams):
     return energy + params.g * params.g
 
 
-def basis_labels(trunc: Truncation) -> tuple[np.ndarray, np.ndarray]:
-    """Per-index photon numbers and spin labels, each of length ``trunc.dim``."""
-    n = np.repeat(np.arange(trunc.n_trunc), 2)
-    s = np.tile(np.array([1, -1]), trunc.n_trunc)
-    return n, s
-
-
 def parity_diagonal(trunc: Truncation) -> np.ndarray:
-    """Diagonal of the parity operator: s * (-1)**n per basis state."""
-    n, s = basis_labels(trunc)
-    return (s * (1 - 2 * (n % 2))).astype(float)
+    """Diagonal of the parity operator, s * (-1)**n per basis state.
+
+    In the interleaved index that is the period-4 pattern (+1, -1, -1, +1).
+    """
+    return np.tile([1.0, -1.0, -1.0, 1.0], (trunc.n_trunc + 1) // 2)[: trunc.dim]
 
 
 def build_hamiltonian(params: ModelParams, trunc: Truncation) -> np.ndarray:
@@ -133,9 +127,10 @@ def build_hamiltonian(params: ModelParams, trunc: Truncation) -> np.ndarray:
     one to (i, j) and (j, i): bitwise symmetric and parity-block-diagonal by construction.
     """
     h = np.zeros((trunc.dim, trunc.dim))
+    parity = parity_diagonal(trunc)
     for sector in (1, -1):
         diag, offdiag = sector_hamiltonian(params, trunc, sector)
-        rows = np.flatnonzero(parity_diagonal(trunc) == sector)
+        rows = np.flatnonzero(parity == sector)
         h[rows, rows] = diag
         h[rows[:-1], rows[1:]] = offdiag
         h[rows[1:], rows[:-1]] = offdiag

@@ -7,10 +7,10 @@ and takes that level's <P> and even/odd photon populations (summed over
 spin) from the squares.  Eigenvalues come in pairs (2k, 2k+1) of
 opposite parity whose splitting collapses with coupling; once it falls
 to the solver's resolution the returned eigenvectors are arbitrary
-mixtures within the pair and per-state <P> wanders off +-1.  The
-two-dimensional trace of P over the pair span is basis independent and
-stays at zero through that regime, which is the invariant worth testing
-against.
+mixtures within the pair and per-state <P> wanders off +-1.  For
+orthonormal columns the sum of the two members' unclamped <P> is the
+trace of P over the pair span, which is basis independent and stays at
+zero through that regime: the invariant worth testing against.
 
 A state is called regular when |<P>| >= 1 - eps_par for a configurable
 threshold eps_par.  The onset coupling of a pair, the smallest grid point
@@ -33,7 +33,6 @@ __all__ = [
     "PairParity",
     "pair_report",
     "parity_expectation",
-    "subspace_parity_trace",
 ]
 
 DEFAULT_EPS_PAR = 0.1
@@ -64,19 +63,6 @@ def parity_expectation(state, trunc: Truncation) -> float:
     return max(-1.0, min(1.0, value))
 
 
-def subspace_parity_trace(vectors: np.ndarray, trunc: Truncation) -> float:
-    """Trace of P restricted to the span of the given orthonormal columns.
-
-    For a pair of opposite-parity levels this is zero regardless of how a
-    solver rotated the two vectors inside their shared eigenspace.
-    """
-    v = np.asarray(vectors, dtype=float)
-    if v.ndim != 2 or v.shape[0] != trunc.dim:
-        raise ValueError(f"expected column vectors of length {trunc.dim}, got shape {v.shape}")
-    p = parity_diagonal(trunc)
-    return float(np.einsum("i,ij,ij->", p, v, v))
-
-
 @dataclass(frozen=True)
 class PairParity:
     """Diagnostics for one opposite-parity doublet (levels 2k, 2k+1)."""
@@ -101,9 +87,11 @@ def pair_report(
 ) -> list[PairParity]:
     """Pairwise parity report over consecutive levels of a sorted spectrum.
 
-    ``parity_sum`` is the subspace trace, not the sum of rounded per-state
-    values, so it stays meaningful when the pair is solver-mixed.  The
-    ``regular`` flag applies the eps_par threshold to both members.
+    ``parity_sum`` is the sum of the two members' unclamped <P>, which for
+    orthonormal columns is the trace of P over the pair span, so it stays
+    meaningful when the pair is solver-mixed.  ``parity`` holds the same
+    values clamped to [-1, 1].  The ``regular`` flag applies the eps_par
+    threshold to both members.
     """
     check_eps_par(eps_par)
     if spectrum.k < 2:
@@ -117,9 +105,9 @@ def pair_report(
     for v in np.ascontiguousarray(spectrum.eigenvectors[:, : 2 * n_pairs].T, dtype=float):
         v2 = _checked_state(v, trunc) ** 2
         pops = v2[0::2] + v2[1::2]
-        p_state = max(-1.0, min(1.0, float(np.dot(p, v2))))
-        levels.append((p_state, float(pops[0::2].sum()), float(pops[1::2].sum())))
-    parity, p_even, p_odd = zip(*levels)
+        levels.append((float(np.dot(p, v2)), float(pops[0::2].sum()), float(pops[1::2].sum())))
+    raw, p_even, p_odd = zip(*levels)
+    parity = tuple(max(-1.0, min(1.0, value)) for value in raw)
     out = []
     for k in range(n_pairs):
         lo, hi = 2 * k, 2 * k + 1
@@ -130,7 +118,7 @@ def pair_report(
                 energies_shifted=shifted[lo : hi + 1],
                 parity=parity[lo : hi + 1],
                 gap_shifted=shifted[hi] - shifted[lo],
-                parity_sum=subspace_parity_trace(spectrum.eigenvectors[:, lo : hi + 1], trunc),
+                parity_sum=raw[lo] + raw[hi],
                 p_even=p_even[lo : hi + 1],
                 p_odd=p_odd[lo : hi + 1],
                 regular=min(abs(parity[lo]), abs(parity[hi])) >= 1.0 - eps_par,

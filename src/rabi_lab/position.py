@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Truncation
+from .model import Truncation, _integer
 
 __all__ = [
     "BOUNDARY_AMPLITUDE_TOL",
@@ -91,6 +91,7 @@ def hermite_basis(grid: PositionGrid, n_max: int) -> np.ndarray:
     functions oscillate faster than the sampling and every later use of
     the table would alias silently.
     """
+    n_max = _integer("n_max", n_max)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if n_max > ALIASING_N and grid.step > ALIASING_STEP:

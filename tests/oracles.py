@@ -86,6 +86,20 @@ def spin_rotation(n_trunc):
     return np.kron(np.eye(n_trunc), block)
 
 
+def parity_trace(vectors, n_trunc):
+    """tr(V^T P V) for the columns of V, with P built from the basis labels.
+
+    Index i = 2n + (s == -1) carries photon number n and spin-x label s,
+    and P = s * (-1)**n there; the trace is formed with a dense P.
+    """
+    labels = np.zeros(2 * n_trunc)
+    for n in range(n_trunc):
+        for s in (1, -1):
+            labels[2 * n + (s == -1)] = s * (-1) ** n
+    v = np.asarray(vectors, dtype=float)
+    return float(np.trace(v.T @ np.diag(labels) @ v))
+
+
 def trapezoid_weights(npoints, step):
     w = np.full(npoints, step, dtype=float)
     w[0] *= 0.5

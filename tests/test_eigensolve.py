@@ -83,6 +83,11 @@ def test_input_validation():
         eig_sym_dense(np.diag(np.arange(6.0)), 2.7)
     with pytest.raises(ValueError, match="^k must be an integer, got 2.5$"):
         eig_sym_tridiag(np.arange(6.0), np.ones(5), 2.5)
+    # nor is a bool, though Python counts it as an int
+    with pytest.raises(ValueError, match="^k must be an integer, got True$"):
+        eig_sym_dense(np.eye(3), True)
+    with pytest.raises(ValueError, match="^k must be an integer, got False$"):
+        eig_sym_tridiag(np.arange(6.0), np.ones(5), False)
 
 
 def test_asymmetry_beyond_tolerance_is_rejected():

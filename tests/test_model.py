@@ -8,7 +8,6 @@ import pytest
 from rabi_lab.model import (
     ModelParams,
     Truncation,
-    basis_labels,
     build_hamiltonian,
     critical_coupling,
     parity_diagonal,
@@ -39,6 +38,8 @@ def test_truncation_validation():
             Truncation(bad)
     with pytest.raises(ValueError):
         Truncation(2.5)
+    with pytest.raises(ValueError, match="^n_trunc must be an integer, got True$"):
+        Truncation(True)
     assert Truncation(2).dim == 4
     assert Truncation(1000).dim == 2000
 
@@ -64,11 +65,17 @@ def test_shifted_energy_scalar_and_array():
     assert np.array_equal(arr, np.array([0.0, 1.0]))
 
 
-def test_basis_index_and_labels():
-    # flattened index 2n + (s == -1): photon number major, spin minor
-    ns, ss = basis_labels(Truncation(4))
-    assert list(ns) == [0, 0, 1, 1, 2, 2, 3, 3]
-    assert list(ss) == [1, -1, 1, -1, 1, -1, 1, -1]
+def test_parity_diagonal_from_basis_labels():
+    # flattened index 2n + (s == -1), photon number major and spin minor,
+    # carries parity s * (-1)**n; the closed form must give those bits
+    for n_trunc in range(2, 65):
+        want = np.empty(2 * n_trunc)
+        for n in range(n_trunc):
+            for s in (1, -1):
+                want[2 * n + (s == -1)] = s * (-1) ** n
+        got = parity_diagonal(Truncation(n_trunc))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_parity_pattern_small():

@@ -14,12 +14,10 @@ from rabi_lab.model import (
     critical_coupling,
     parity_diagonal,
 )
-from rabi_lab.parity import (
-    pair_report,
-    parity_expectation,
-    subspace_parity_trace,
-)
+from rabi_lab.parity import pair_report, parity_expectation
 from rabi_lab.sweeps import coupling_sweep, grid_values, phase_boundary_scan, solve_point
+
+from oracles import parity_trace
 
 
 def _basis_state(n, s, trunc):
@@ -124,6 +122,17 @@ def test_pair_report_matches_per_vector_formulas_bitwise(delta, ratio, n_trunc, 
     ]
     for level, (parity, _, _) in enumerate(got):
         assert parity.hex() == parity_expectation(spectrum.eigenvectors[:, level], tr).hex()
+    # the pair sum adds the members' unclamped <P>, and that is the trace of P
+    # over the pair span up to rounding
+    raw = [
+        float(np.dot(parity_diagonal(tr), c * c))
+        for c in (np.array(spectrum.eigenvectors[:, level]) for level in range(2 * len(pairs)))
+    ]
+    for k, pair in enumerate(pairs):
+        lo, hi = 2 * k, 2 * k + 1
+        assert pair.parity_sum.hex() == (raw[lo] + raw[hi]).hex()
+        trace = parity_trace(spectrum.eigenvectors[:, lo : hi + 1], tr.n_trunc)
+        assert abs(pair.parity_sum - trace) <= 1e-14
 
 
 def test_parity_reconstructed_from_sector_resolved_populations():
@@ -146,15 +155,22 @@ def test_subspace_trace_invariant_under_rotation():
     v_even = _basis_state(0, 1, tr)
     v_odd = _basis_state(0, -1, tr)
     pair = np.column_stack([v_even, v_odd])
+    params = ModelParams(5.0, 2.0 * critical_coupling(5.0))
+    tr40 = Truncation(40)
+    spectrum = solve_point(params, tr40, 2)
     for theta in (0.0, 0.3, 0.25 * math.pi, 1.2):
         c, s = math.cos(theta), math.sin(theta)
         rot = np.array([[c, -s], [s, c]])
         mixed = pair @ rot
-        assert abs(subspace_parity_trace(mixed, tr)) <= 1e-14
+        assert abs(parity_trace(mixed, tr.n_trunc)) <= 1e-14
         p0 = parity_expectation(mixed[:, 0], tr)
         p1 = parity_expectation(mixed[:, 1], tr)
         assert abs(p0 + p1) <= 1e-14
         assert abs(p0 - math.cos(2.0 * theta)) <= 1e-14
+        # a solved doublet rotated inside its span keeps a zero pair sum
+        rotated = spectrum.eigenvectors @ rot
+        (report,) = pair_report(dataclasses.replace(spectrum, eigenvectors=rotated), params, tr40)
+        assert abs(report.parity_sum) <= 1e-14
 
 
 def test_pair_report_regular_regime():

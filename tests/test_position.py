@@ -84,6 +84,15 @@ def test_aliasing_guard():
     assert ALIASING_STEP == 0.1
 
 
+def test_hermite_basis_count_validation():
+    grid = PositionGrid(10.0, 0.05)
+    for bad in (2.5, 3.0, True, "3"):
+        with pytest.raises(ValueError, match=f"^n_max must be an integer, got {bad!r}$"):
+            hermite_basis(grid, bad)
+    with pytest.raises(ValueError, match="^n_max must be >= 1, got 0$"):
+        hermite_basis(grid, 0)
+
+
 def test_wavefunction_of_uncoupled_ground_state():
     params = ModelParams(1.0, 0.0)
     tr = Truncation(30)

@@ -471,6 +471,12 @@ def test_phase_scan_records_the_level_count_it_solves(monkeypatch):
             "n_levels must be an integer, got 4.0",
         ),
         (
+            lambda: coupling_sweep(
+                1.0, ratio_grid=[0.1], n_levels=True, trunc=Truncation(10), workers=1
+            ),
+            "n_levels must be an integer, got True$",
+        ),
+        (
             lambda: solve_point(ModelParams(1.0, 0.5), Truncation(10), 2.7),
             "n_levels must be an integer, got 2.7",
         ),
@@ -513,6 +519,7 @@ def test_phase_scan_records_the_level_count_it_solves(monkeypatch):
         "non_integer_pair_index",
         "non_integer_convergence_levels",
         "integral_float_coupling_levels",
+        "bool_coupling_levels",
         "non_integer_point_levels",
         "non_integer_sector_levels",
         "non_integer_workers",
@@ -542,6 +549,7 @@ def test_resolve_workers(monkeypatch):
     assert resolve_workers(None) == 1
     assert resolve_workers(0) == (os.cpu_count() or 1)
     for bad, message in ((-1, "workers must be >= 0"), (2.7, "workers must be an integer"),
-                         (2.0, "workers must be an integer")):
+                         (2.0, "workers must be an integer"),
+                         (True, "workers must be an integer, got True$")):
         with pytest.raises(ValueError, match=message):
             resolve_workers(bad)
