@@ -19,6 +19,7 @@ from .model import (
     critical_coupling,
     parity_diagonal,
     sector_hamiltonian,
+    sector_rows,
     shifted_energy,
 )
 from .parity import (
@@ -69,6 +70,7 @@ __all__ = [
     "phase_boundary_scan",
     "position_wavefunction",
     "sector_hamiltonian",
+    "sector_rows",
     "shifted_energy",
     "solve_point",
     "symmetry_defect",

@@ -7,6 +7,11 @@ returned set of eigenpairs passes one accuracy contract (residual,
 normalization and orthogonality bounds); a violation raises
 ``SolverError`` instead of returning silently degraded data.
 
+``eig_sym_dense`` solves a copy of the caller's matrix, except that
+``sweeps.solve_point`` hands over each Hamiltonian it builds, with the
+sector tridiagonals it was written from, to be checked on those and
+solved in place.
+
 Solves are deterministic for identical inputs within one build of the
 underlying LAPACK, which is what makes sweep output byte-reproducible.
 Near-degenerate pairs are flagged, and their returned eigenvectors are
@@ -16,7 +21,7 @@ whatever mixture the solver produced; no re-rotation is applied here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -81,6 +86,14 @@ def _tridiag_matvec(diag: np.ndarray, offdiag: np.ndarray, v: np.ndarray) -> np.
     return out
 
 
+def _blocks_matvec(blocks, v: np.ndarray) -> np.ndarray:
+    """The direct sum of (rows, diag, offdiag) tridiagonal blocks applied to v."""
+    out = np.zeros_like(v)
+    for rows, diag, offdiag in blocks:
+        out[rows] = _tridiag_matvec(diag, offdiag, v[rows])
+    return out
+
+
 def _tie_order(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Level order: by energy, exact ties by the index of the first component above 1e-12."""
     return np.lexsort((np.argmax(np.abs(v) > 1e-12, axis=0), w))
@@ -118,28 +131,45 @@ def _finalize(w: np.ndarray, v: np.ndarray, matvec, scale: float, path: str) -> 
     )
 
 
-def eig_sym_dense(matrix: np.ndarray, k: Optional[int] = None) -> Spectrum:
-    """Lowest k eigenpairs of a real symmetric dense matrix.
+def eig_sym_dense(
+    matrix: np.ndarray, k: Optional[int] = None, *, tridiagonals: Optional[Sequence] = None
+) -> Spectrum:
+    """Lowest k eigenpairs of a real symmetric dense matrix; k = None solves for all.
 
-    The input must be exactly symmetric (bitwise), which the model
-    builders guarantee; anything else is rejected rather than silently
-    symmetrized.  k = None solves for the full spectrum.
+    The matrix must be finite and exactly symmetric (bitwise); anything
+    else is rejected rather than silently symmetrized.  The solve works
+    on a copy and leaves the caller's matrix unchanged, unless
+    ``tridiagonals`` hands it over: the (rows, diag, offdiag) blocks it
+    was written from, their rows partitioning the basis and every other
+    entry zero.  Then the checks, the scale and the residual run on the
+    blocks in O(dim), and LAPACK overwrites the matrix, without a copy if
+    it is Fortran-ordered float64; the caller must not use it again.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    if not np.array_equal(m, m.T):
-        raise ValueError("matrix is not exactly symmetric")
+    if tridiagonals is None:
+        if not np.array_equal(m, m.T):
+            raise ValueError("matrix is not exactly symmetric")
+        entries, a, matvec = [m], np.array(m, order="F"), lambda x: m @ x
+    else:
+        entries = [x for _, diag, offdiag in tridiagonals for x in (diag, offdiag)]
+        a, matvec = m, lambda x: _blocks_matvec(tridiagonals, x)
+    if not all(np.isfinite(x).all() for x in entries):
+        raise ValueError("matrix entries must be finite")
     dim = m.shape[0]
     k = dim if k is None else _integer("k", k)
     if not 1 <= k <= dim:
         raise ValueError(f"k must be in [1, {dim}], got {k}")
+    # max|entry| without a |matrix| temporary
+    scale = max(1.0, *(float(max(x.max(initial=0.0), -x.min(initial=0.0))) for x in entries))
     try:
-        w, v = scipy.linalg.eigh(m, subset_by_index=(0, k - 1), driver="evr")
+        w, v = scipy.linalg.eigh(
+            a, subset_by_index=(0, k - 1), driver="evr", overwrite_a=True, check_finite=False
+        )
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SolverError(f"dense solve failed for dim={dim}: {exc}") from exc
-    scale = max(1.0, float(np.abs(m).max()))
-    return _finalize(w, v, lambda x: m @ x, scale, "dense-evr")
+    return _finalize(w, v, matvec, scale, "dense-evr")
 
 
 def eig_sym_tridiag(

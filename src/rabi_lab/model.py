@@ -49,6 +49,7 @@ __all__ = [
     "critical_coupling",
     "parity_diagonal",
     "sector_hamiltonian",
+    "sector_rows",
     "shifted_energy",
 ]
 
@@ -120,17 +121,22 @@ def parity_diagonal(trunc: Truncation) -> np.ndarray:
     return np.tile([1.0, -1.0, -1.0, 1.0], (trunc.n_trunc + 1) // 2)[: trunc.dim]
 
 
+def sector_rows(trunc: Truncation, sector: int) -> np.ndarray:
+    """Full-basis indices of one parity sector's states, in photon order."""
+    return np.flatnonzero(parity_diagonal(trunc) == sector)
+
+
 def build_hamiltonian(params: ModelParams, trunc: Truncation) -> np.ndarray:
     """Dense Hamiltonian in the interleaved (n, s) basis, from the sector tridiagonals.
 
-    Each sector's entries go on its parity's rows and columns, each off-diagonal
+    Each sector's entries go on its ``sector_rows`` rows and columns, each off-diagonal
     one to (i, j) and (j, i): bitwise symmetric and parity-block-diagonal by construction.
+    The array is Fortran-ordered, the layout LAPACK solves in place.
     """
-    h = np.zeros((trunc.dim, trunc.dim))
-    parity = parity_diagonal(trunc)
+    h = np.zeros((trunc.dim, trunc.dim), order="F")
     for sector in (1, -1):
         diag, offdiag = sector_hamiltonian(params, trunc, sector)
-        rows = np.flatnonzero(parity == sector)
+        rows = sector_rows(trunc, sector)
         h[rows, rows] = diag
         h[rows[:-1], rows[1:]] = offdiag
         h[rows[1:], rows[:-1]] = offdiag
@@ -144,10 +150,13 @@ def sector_hamiltonian(
 
     Returns (diag, offdiag) with diag of length n_trunc and offdiag of
     length n_trunc - 1.  Within sector p the spin label is fixed to
-    s = p * (-1)**n, so the photon index alone spans the block.
+    s = p * (-1)**n, so the photon index alone spans the block.  A g
+    whose largest entry g * sqrt(n_trunc - 1) overflows raises ValueError.
     """
     if sector not in (1, -1):
         raise ValueError(f"sector must be +1 or -1, got {sector!r}")
+    if not math.isfinite(params.g * math.sqrt(trunc.n_trunc - 1)):
+        raise ValueError(f"g={params.g!r} overflows g * sqrt(n) at n_trunc={trunc.n_trunc}")
     n = np.arange(trunc.n_trunc)
     sign = 1.0 - 2.0 * (n % 2)
     diag = n + sector * sign * (0.5 * params.delta)

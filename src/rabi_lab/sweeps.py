@@ -49,8 +49,8 @@ from .model import (
     _integer,
     build_hamiltonian,
     critical_coupling,
-    parity_diagonal,
     sector_hamiltonian,
+    sector_rows,
 )
 from .parity import DEFAULT_EPS_PAR, PairParity, check_eps_par, pair_report
 
@@ -154,11 +154,15 @@ def tail_population(vectors: np.ndarray, trunc: Truncation) -> float:
 
 
 def solve_point(params: ModelParams, trunc: Truncation, n_levels: int) -> Spectrum:
-    """Dense full-operator solve for the lowest n_levels at one parameter point."""
+    """Dense full-operator solve for the lowest n_levels, in place on the built Hamiltonian."""
     n_levels = _integer("n_levels", n_levels)
     if not 1 <= n_levels <= trunc.dim:
         raise ValueError(f"n_levels must be in [1, {trunc.dim}], got {n_levels}")
-    return eig_sym_dense(build_hamiltonian(params, trunc), n_levels)
+    sectors = [
+        (sector_rows(trunc, sector), *sector_hamiltonian(params, trunc, sector))
+        for sector in (1, -1)
+    ]
+    return eig_sym_dense(build_hamiltonian(params, trunc), n_levels, tridiagonals=sectors)
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
@@ -297,7 +301,7 @@ def merged_sector_levels(
     """Lowest n_levels of the union of both parity sectors.
 
     Returns (energies ascending, max tail population over the kept
-    states).  Each sector's eigenvectors sit on its parity's rows of one
+    states).  Each sector's eigenvectors sit on its ``sector_rows`` of one
     full-basis block, as in ``build_hamiltonian``, so the dense path's tie
     order and ``tail_population`` apply to the merge unchanged.
     """
@@ -305,14 +309,13 @@ def merged_sector_levels(
     if not 1 <= n_levels <= trunc.dim:
         raise ValueError(f"n_levels must be in [1, {trunc.dim}], got {n_levels}")
     per_sector = min(n_levels, trunc.n_trunc)
-    parity = parity_diagonal(trunc)
     energies = np.empty(2 * per_sector)
     block = np.zeros((trunc.dim, 2 * per_sector), order="F")  # column-major for column reductions
     for sector, cols in ((1, np.s_[:per_sector]), (-1, np.s_[per_sector:])):
         diag, off = sector_hamiltonian(params, trunc, sector)
         spec = eig_sym_tridiag(diag, off, per_sector)
         energies[cols] = spec.eigenvalues
-        block[np.flatnonzero(parity == sector), cols] = spec.eigenvectors
+        block[sector_rows(trunc, sector), cols] = spec.eigenvectors
     kept = _tie_order(energies, block)[:n_levels]
     return energies[kept], tail_population(block[:, kept], trunc)
 

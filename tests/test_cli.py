@@ -613,6 +613,10 @@ def test_phase_diagram_sentinel_failure(tmp_path):
             "--delta-grid: grid 0.0:1.0:1e-17 has too many points to allocate",
         ),
         (["parity", "--delta", "1", "--g", "0.5", "--format", "xml"], "--format must be csv"),
+        (
+            ["parity", "--delta", "1", "--g", "1e308", "--n-trunc", "10", "--levels", "2"],
+            "g=1e+308 overflows g * sqrt(n) at n_trunc=10",
+        ),
     ],
     ids=[
         "one_point_grid",
@@ -636,6 +640,7 @@ def test_phase_diagram_sentinel_failure(tmp_path):
         "unallocatable_coupling_grid",
         "unallocatable_delta_grid",
         "unknown_format",
+        "overflowing_coupling",
     ],
 )
 def test_phase_diagram_rejects_unscannable_input_before_writing(tmp_path, capsys, argv, named):

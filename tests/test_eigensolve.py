@@ -74,6 +74,9 @@ def test_input_validation():
         eig_sym_dense(sym, k=0)
     with pytest.raises(ValueError):
         eig_sym_dense(sym, k=5)
+    # a supplied matrix is checked for finiteness itself, not left to LAPACK
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        eig_sym_dense(np.diag([1.0, np.inf]))
     with pytest.raises(ValueError):
         eig_sym_tridiag(np.ones(4), np.ones(4))
     with pytest.raises(ValueError):

@@ -8,10 +8,11 @@ import scipy.linalg
 
 from rabi_lab import sweeps
 from rabi_lab.io import render_table
-from rabi_lab.eigensolve import SolverError, eig_sym_tridiag
+from rabi_lab.eigensolve import SolverError, eig_sym_dense, eig_sym_tridiag
 from rabi_lab.model import (
     ModelParams,
     Truncation,
+    build_hamiltonian,
     critical_coupling,
     parity_diagonal,
     sector_hamiltonian,
@@ -100,6 +101,52 @@ def test_solve_point_matches_sector_merge():
     sp = solve_point(params, tr, 8)
     merged, _ = merged_sector_levels(params, tr, 8)
     assert np.abs(sp.eigenvalues - merged).max() <= 1e-10
+
+
+def test_solve_point_in_place_matches_supplied_matrix_bitwise():
+    # solve_point hands its Hamiltonian over and checks it on the sector
+    # tridiagonals; a copy of the same matrix checked in full must give the
+    # same bytes, here where evr mixes the doublets of a delta=50 window
+    tr = Truncation(200)
+    gc = critical_coupling(50.0)
+    for ratio in grid_values(1.40, 1.60, 0.02):
+        params = ModelParams(50.0, ratio * gc)
+        h = build_hamiltonian(params, tr)
+        kept = h.copy()
+        ref = eig_sym_dense(h, 8)
+        assert np.array_equal(h, kept)  # a supplied matrix is left as it was
+        sp = solve_point(params, tr, 8)
+        assert sp.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+        assert sp.eigenvectors.tobytes() == ref.eigenvectors.tobytes()
+        assert np.array_equal(sp.near_degenerate, ref.near_degenerate)
+        assert sp.meta == ref.meta
+        assert np.abs(sp.residual_norms - ref.residual_norms).max() <= 1e-12 * ref.meta.scale
+
+
+def test_solve_point_hands_its_matrix_over(monkeypatch):
+    # the built array is the one LAPACK overwrites: no copy is made of it
+    built = []
+
+    def recording(params, trunc):
+        built.append(build_hamiltonian(params, trunc))
+        return built[-1]
+
+    monkeypatch.setattr(sweeps, "build_hamiltonian", recording)
+    params, tr = ModelParams(2.0, 1.0), Truncation(40)
+    solve_point(params, tr, 4)
+    assert not np.array_equal(built[0], build_hamiltonian(params, tr))
+
+
+def test_overflowing_coupling_is_refused_before_any_solve(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigh_tridiagonal"):
+        monkeypatch.setattr(scipy.linalg, name, lambda *a, **k: calls.append(1))
+    params, tr = ModelParams(1.0, 1e308), Truncation(10)
+    message = r"^g=1e\+308 overflows g \* sqrt\(n\) at n_trunc=10$"
+    for solve in (solve_point, merged_sector_levels):
+        with pytest.raises(ValueError, match=message):
+            solve(params, tr, 2)
+    assert calls == []
 
 
 def _merged_levels_by_loop(params, tr, n_levels):
@@ -401,9 +448,9 @@ def test_phase_scan_records_the_level_count_it_solves(monkeypatch):
     requested = []
     dense = sweeps.eig_sym_dense
 
-    def recording(matrix, k=None):
+    def recording(matrix, k=None, **handoff):
         requested.append(k)
-        return dense(matrix, k)
+        return dense(matrix, k, **handoff)
 
     monkeypatch.setattr(sweeps, "eig_sym_dense", recording)
     res = phase_boundary_scan(
