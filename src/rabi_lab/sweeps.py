@@ -2,14 +2,17 @@
 
 Every sweep binds its shared inputs once with ``functools.partial`` and
 maps that point function over one item per grid point, ``(index, g)``, or
-per delta for the phase scan, ``(delta, g_c, grid)``, in this process or
-on a spawn pool; results merge back in grid order, and at a fixed BLAS
-thread count they are identical for any worker count.  Bound inputs are
-data only: a point looks the solve, sentinel and parity functions up as
-module globals when it runs, so a wrapper installed on this module (the
-benchmark tracer, ``perfbench/tracing.py``) sees every call.
-The ``workers`` argument alone sets the process count (0 means the CPU
-count, default 1), at most one per item; meta ``workers`` records it.
+per delta for the phase scan, ``(delta, g_c, grid)``.  The ``workers``
+argument alone sets the process count (0 means the CPU count, default 1),
+at most one per item, and meta ``workers`` records it: this process is one
+of them, the others are spawn children.  Results merge back in grid order,
+identical for any worker count while this process and its children run
+the same BLAS thread count; children take theirs from the environment at
+import, so a runtime change here (threadpoolctl, say) breaks that.  Bound
+inputs are data only: a point looks the solve, sentinel and parity
+functions up as module globals when it runs, so a wrapper installed on
+this module (the benchmark tracer, ``perfbench/tracing.py``) sees every
+call made in this process.
 
 Each point is guarded by a truncation sentinel: the summed photon
 population of every retained state from photon index ceil(0.9 * n_trunc)
@@ -35,7 +38,7 @@ import math
 import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
@@ -176,15 +179,31 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 
 
 def _sweep(columns: tuple, point, items: list, workers: Optional[int], meta: dict) -> SweepResult:
-    """Map the point over the items, on a spawn pool for workers > 1, and join results in order."""
+    """Map the point over the items and join the results in grid order.
+
+    For workers > 1, workers - 1 spawn children take items from the front;
+    this process runs the last item, then walks back running each item no
+    child has started.  A failure raises at the lowest failing index.
+    """
     t0 = time.perf_counter()
     workers = min(resolve_workers(workers), len(items))
     if workers <= 1:
         results = [point(item) for item in items]
     else:
         ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            results = list(pool.map(point, items, chunksize=1))
+        pool = ProcessPoolExecutor(max_workers=workers - 1, mp_context=ctx)
+        try:
+            futures = [pool.submit(point, item) for item in items[:-1]] + [None]
+            for index in reversed(range(len(items))):
+                if futures[index] is None or futures[index].cancel():
+                    futures[index] = Future()
+                    try:
+                        futures[index].set_result(point(items[index]))
+                    except Exception as exc:
+                        futures[index].set_exception(exc)
+            results = [future.result() for future in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)
     meta.update(
         workers=workers,
         sentinel_failures=[bad for _, bad in results if bad is not None],

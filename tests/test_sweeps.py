@@ -298,6 +298,37 @@ def test_sweep_worker_count_does_not_change_bytes(sweep, items, failing):
     assert bool(seq.meta["sentinel_failures"]) == failing
 
 
+def test_calling_process_shares_a_mixed_window_without_changing_bytes(monkeypatch):
+    # g/g_c 1.40-1.60 at delta=50 holds irregular doublets, so a schedule
+    # that changed any solve would show in the parity columns; the wrapper
+    # counts only this process's points, as spawn children import afresh
+    kwargs = dict(ratio_grid=grid_values(1.40, 1.60, 0.01), n_levels=8, trunc=Truncation(200))
+    seq = coupling_sweep(50.0, workers=1, **kwargs)
+    here = []
+    solve = sweeps.solve_point
+
+    def counted(params, *args):
+        here.append(params.g)
+        return solve(params, *args)
+
+    monkeypatch.setattr(sweeps, "solve_point", counted)
+    par = coupling_sweep(50.0, workers=2, **kwargs)
+    assert par.meta["workers"] == 2
+    assert 1 <= len(here) < 21
+    assert render_table(seq.columns, seq.rows) == render_table(par.columns, par.rows)
+    assert any(abs(row[5]) < 1 - 0.1 for row in seq.rows)  # the window is mixed
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_sweep_raises_the_lowest_failing_grid_index(workers):
+    # at more than one worker this process runs the last point, 1.5e308,
+    # first; index 1 must still be the one reported
+    with pytest.raises(ValueError, match=r"^g=1e\+308 overflows"):
+        coupling_sweep(
+            1.0, g_grid=[0.5, 1e308, 1.5e308], n_levels=2, trunc=Truncation(10), workers=workers
+        )
+
+
 @pytest.mark.parametrize(
     "sweep, solver, g",
     [
