@@ -7,10 +7,11 @@ returned set of eigenpairs passes one accuracy contract (residual,
 normalization and orthogonality bounds); a violation raises
 ``SolverError`` instead of returning silently degraded data.
 
-``eig_sym_dense`` solves a copy of the caller's matrix, except that
-``sweeps.solve_point`` hands over each Hamiltonian it builds, with the
-sector tridiagonals it was written from, to be checked on those and
-solved in place.
+``eig_sym_dense`` solves in place the matrix it is handed, together with
+the (rows, diag, offdiag) sector tridiagonals it was written from: the
+input checks, the scale and the residual run on those blocks.
+``eig_sym_tridiag`` passes its one block through the same check-and-scale
+rule.
 
 Solves are deterministic for identical inputs within one build of the
 underlying LAPACK, which is what makes sweep output byte-reproducible.
@@ -21,7 +22,7 @@ whatever mixture the solver produced; no re-rotation is applied here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -131,65 +132,47 @@ def _finalize(w: np.ndarray, v: np.ndarray, matvec, scale: float, path: str) -> 
     )
 
 
-def eig_sym_dense(
-    matrix: np.ndarray, k: Optional[int] = None, *, tridiagonals: Optional[Sequence] = None
-) -> Spectrum:
-    """Lowest k eigenpairs of a real symmetric dense matrix; k = None solves for all.
-
-    The matrix must be finite and exactly symmetric (bitwise); anything
-    else is rejected rather than silently symmetrized.  The solve works
-    on a copy and leaves the caller's matrix unchanged, unless
-    ``tridiagonals`` hands it over: the (rows, diag, offdiag) blocks it
-    was written from, their rows partitioning the basis and every other
-    entry zero.  Then the checks, the scale and the residual run on the
-    blocks in O(dim), and LAPACK overwrites the matrix, without a copy if
-    it is Fortran-ordered float64; the caller must not use it again.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
-    if tridiagonals is None:
-        if not np.array_equal(m, m.T):
-            raise ValueError("matrix is not exactly symmetric")
-        entries, a, matvec = [m], np.array(m, order="F"), lambda x: m @ x
-    else:
-        entries = [x for _, diag, offdiag in tridiagonals for x in (diag, offdiag)]
-        a, matvec = m, lambda x: _blocks_matvec(tridiagonals, x)
-    if not all(np.isfinite(x).all() for x in entries):
-        raise ValueError("matrix entries must be finite")
-    dim = m.shape[0]
-    k = dim if k is None else _integer("k", k)
+def _checked_scale(blocks: Sequence, k: int, dim: int) -> float:
+    """Check k against dim and every block entry for finiteness; return max(1, max|entry|)."""
+    k = _integer("k", k)
     if not 1 <= k <= dim:
         raise ValueError(f"k must be in [1, {dim}], got {k}")
-    # max|entry| without a |matrix| temporary
-    scale = max(1.0, *(float(max(x.max(initial=0.0), -x.min(initial=0.0))) for x in entries))
+    entries = [x for _, diag, offdiag in blocks for x in (diag, offdiag)]
+    if not all(np.isfinite(x).all() for x in entries):
+        raise ValueError("tridiagonal entries must be finite")
+    return max(1.0, *(float(np.abs(x).max(initial=0.0)) for x in entries))
+
+
+def eig_sym_dense(matrix: np.ndarray, blocks: Sequence, k: int) -> Spectrum:
+    """Lowest k eigenpairs of a dense symmetric matrix, solved in place.
+
+    ``blocks`` are the (rows, diag, offdiag) tridiagonals the matrix was
+    written from, their rows partitioning the basis and every other entry
+    zero.  The checks, the scale and the residual run on the blocks in
+    O(dim), and LAPACK overwrites the matrix, without a copy if it is
+    Fortran-ordered float64; the caller must not use it again.
+    """
+    dim = len(matrix)
+    scale = _checked_scale(blocks, k, dim)
     try:
         w, v = scipy.linalg.eigh(
-            a, subset_by_index=(0, k - 1), driver="evr", overwrite_a=True, check_finite=False
+            matrix, subset_by_index=(0, k - 1), driver="evr", overwrite_a=True, check_finite=False
         )
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SolverError(f"dense solve failed for dim={dim}: {exc}") from exc
-    return _finalize(w, v, matvec, scale, "dense-evr")
+    return _finalize(w, v, lambda x: _blocks_matvec(blocks, x), scale, "dense-evr")
 
 
-def eig_sym_tridiag(
-    diag: np.ndarray, offdiag: np.ndarray, k: Optional[int] = None
-) -> Spectrum:
+def eig_sym_tridiag(diag: np.ndarray, offdiag: np.ndarray, k: int) -> Spectrum:
     """Lowest k eigenpairs of a real symmetric tridiagonal matrix."""
     d = np.asarray(diag, dtype=float)
     e = np.asarray(offdiag, dtype=float)
     if d.ndim != 1 or e.ndim != 1 or len(e) != len(d) - 1:
         raise ValueError(f"need len(offdiag) == len(diag) - 1, got {len(d)} and {len(e)}")
-    if not (np.isfinite(d).all() and np.isfinite(e).all()):
-        raise ValueError("tridiagonal entries must be finite")
     dim = len(d)
-    k = dim if k is None else _integer("k", k)
-    if not 1 <= k <= dim:
-        raise ValueError(f"k must be in [1, {dim}], got {k}")
+    scale = _checked_scale([(slice(None), d, e)], k, dim)
     try:
         w, v = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SolverError(f"tridiagonal solve failed for dim={dim}: {exc}") from exc
-    scale = max(1.0, float(np.abs(d).max()), float(np.abs(e).max(initial=0.0)))
     return _finalize(w, v, lambda x: _tridiag_matvec(d, e, x), scale, "tridiag")
-

@@ -64,8 +64,14 @@ class PositionGrid:
             raise ValueError(f"xi_max must be finite and > 0, got {xi_max}")
         if not (math.isfinite(step) and 0 < step <= xi_max):
             raise ValueError(f"step must satisfy 0 < step <= xi_max, got {step}")
+        window = f"grid of xi_max {xi_max} and step {step}"
+        if not math.isfinite(xi_max / step):
+            raise ValueError(f"{window} has too many points to count")
         half = int(math.ceil(xi_max / step - 1e-12))
-        xi = step * np.arange(-half, half + 1)
+        try:  # from a count, since np.arange(-half, half + 1) wraps to empty near half = 2**62
+            xi = step * (np.arange(2 * half + 1) - half)
+        except (MemoryError, ValueError):  # numpy refuses a size it cannot allocate or address
+            raise ValueError(f"{window} has too many points to allocate") from None
         xi.flags.writeable = False
         self.xi_max = float(xi[-1])
         self.step = step

@@ -165,7 +165,7 @@ def solve_point(params: ModelParams, trunc: Truncation, n_levels: int) -> Spectr
         (sector_rows(trunc, sector), *sector_hamiltonian(params, trunc, sector))
         for sector in (1, -1)
     ]
-    return eig_sym_dense(build_hamiltonian(params, trunc), n_levels, tridiagonals=sectors)
+    return eig_sym_dense(build_hamiltonian(params, trunc), sectors, n_levels)
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:

@@ -113,6 +113,25 @@ def gram_matrix(table, step):
     return (table * w) @ table.T
 
 
-def random_symmetric(rng, n, scale=1.0):
-    raw = rng.standard_normal((n, n))
-    return scale * (raw + raw.T) / 2.0
+def random_blocks(rng, dim, scale=1.0):
+    """Random (rows, diag, offdiag) tridiagonals on a random partition of range(dim).
+
+    Two to four blocks, each on a random set of rows in random order: the
+    shape of input ``eig_sym_dense`` takes, with the sector rows of the
+    Rabi Hamiltonian as one special case.
+    """
+    cuts = np.sort(rng.choice(np.arange(1, dim), size=int(rng.integers(1, 4)), replace=False))
+    return [
+        (rows, scale * rng.standard_normal(len(rows)), scale * rng.standard_normal(len(rows) - 1))
+        for rows in np.split(rng.permutation(dim), cuts)
+    ]
+
+
+def dense_from_blocks(dim, blocks):
+    """The Fortran-ordered dim x dim matrix with each (rows, diag, offdiag) block on its rows."""
+    m = np.zeros((dim, dim), order="F")
+    for rows, diag, offdiag in blocks:
+        m[rows, rows] = diag
+        m[rows[:-1], rows[1:]] = offdiag
+        m[rows[1:], rows[:-1]] = offdiag
+    return m

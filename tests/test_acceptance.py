@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rabi_lab.eigensolve import RESIDUAL_RTOL, eig_sym_dense, eig_sym_tridiag
+from rabi_lab.eigensolve import RESIDUAL_RTOL, eig_sym_tridiag
 from rabi_lab.io import render_table
 from rabi_lab.model import (
     ModelParams,
@@ -32,6 +32,7 @@ from rabi_lab.sweeps import (
     coupling_sweep,
     grid_values,
     phase_boundary_scan,
+    solve_point,
 )
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "onset_delta50.json"
@@ -91,14 +92,14 @@ def test_parity_commutator_randomized():
 
 def test_closed_form_limits():
     delta, n = 1.0, 50
-    sp = eig_sym_dense(build_hamiltonian(ModelParams(delta, 0.0), Truncation(n)))
+    sp = solve_point(ModelParams(delta, 0.0), Truncation(n), 2 * n)
     expected = np.sort(
         np.concatenate([np.arange(n) + delta / 2.0, np.arange(n) - delta / 2.0])
     )
     free_err = float(np.abs(sp.eigenvalues - expected).max())
 
     params = ModelParams(0.0, 2.0)
-    sp0 = eig_sym_dense(build_hamiltonian(params, Truncation(400)), k=8)
+    sp0 = solve_point(params, Truncation(400), 8)
     ground_err = abs(sp0.eigenvalues[0] + 4.0)
     gaps = np.abs(np.diff(sp0.eigenvalues))[0::2]
     shifted = shifted_energy(sp0.eigenvalues, params)
@@ -118,11 +119,11 @@ def test_sector_full_equivalence():
     worst = 0.0
     for ratio in (0.5, 1.0, 2.0, 4.0):
         params = ModelParams(delta, ratio * critical_coupling(delta))
-        full = eig_sym_dense(build_hamiltonian(params, tr)).eigenvalues
+        full = solve_point(params, tr, tr.dim).eigenvalues
         parts = []
         for sector in (1, -1):
             d, e = sector_hamiltonian(params, tr, sector)
-            parts.append(eig_sym_tridiag(d, e).eigenvalues)
+            parts.append(eig_sym_tridiag(d, e, tr.n_trunc).eigenvalues)
         union = np.sort(np.concatenate(parts))
         worst = max(worst, float(np.abs(full - union).max()))
     _verdict(
@@ -208,8 +209,7 @@ def test_irregular_onset(strong_sweep, golden_onsets):
 def test_near_degeneracy_scale():
     params = ModelParams(1.0, 6.0 * critical_coupling(1.0))
     tr = Truncation(1000)
-    h = build_hamiltonian(params, tr)
-    sp = eig_sym_dense(h, k=2)
+    sp = solve_point(params, tr, 2)
     gap = float(np.diff(shifted_energy(sp.eigenvalues, params))[0])
     residual = float(sp.residual_norms.max())
     tol = RESIDUAL_RTOL * sp.meta.scale
@@ -259,7 +259,7 @@ def test_wavefunction_parity_correspondence(strong_sweep):
 
     for ratio in (0.5, 1.2):
         params = ModelParams(DELTA_STRONG, ratio * gc)
-        sp = eig_sym_dense(build_hamiltonian(params, STRONG_TRUNC), k=STRONG_LEVELS)
+        sp = solve_point(params, STRONG_TRUNC, STRONG_LEVELS)
         grid = PositionGrid.default_for(params.g)
         for lv, wf in enumerate(position_wavefunction(sp.eigenvectors[:, :2], grid, STRONG_TRUNC)):
             v = sp.eigenvectors[:, lv]
@@ -271,17 +271,21 @@ def test_wavefunction_parity_correspondence(strong_sweep):
         checks.append(f"r={ratio} ground p_even-p_odd {ground.p_even[0] - ground.p_odd[0]:+.3f}")
 
     # irregular regime located from the sweep itself: the point past the
-    # pair-0 onset where the doublet is most strongly mixed
+    # pair-0 onset where the doublet is most strongly mixed, re-solved on
+    # the sweep's own path, so its pair-0 parities are the sweep's bit for bit
     onset0 = _onsets_from_rows(strong_sweep["recs"])[0]
-    candidates: dict[float, float] = {}
+    swept: dict[float, tuple] = {}
     for r in strong_sweep["recs"]:
         if r["level"] in (0, 1) and r["g_over_gc"] >= onset0:
-            ratio = r["g_over_gc"]
-            candidates[ratio] = max(candidates.get(ratio, 0.0), abs(r["parity"]))
-    star = min(candidates, key=candidates.get)
-    params = ModelParams(DELTA_STRONG, star * gc)
-    sp = eig_sym_dense(build_hamiltonian(params, STRONG_TRUNC), k=STRONG_LEVELS)
+            swept[r["g"]] = (*swept.get(r["g"], ()), r["parity"])
+    g_star = min(swept, key=lambda g: max(map(abs, swept[g])))
+    star = g_star / gc
+    params = ModelParams(DELTA_STRONG, g_star)
+    sp = solve_point(params, STRONG_TRUNC, STRONG_LEVELS)
     doublet = pair_report(sp, params, STRONG_TRUNC)[0]
+    same = doublet.parity == swept[g_star]
+    ok = ok and same
+    checks.append(f"r={star:.2f} re-solve reproduces the sweep's pair-0 parity: {same}")
     for lv in (0, 1):
         spread = abs(doublet.p_even[lv] - doublet.p_odd[lv])
         ok = ok and spread < 0.2

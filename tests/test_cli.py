@@ -612,6 +612,16 @@ def test_phase_diagram_sentinel_failure(tmp_path):
             ["phase-diagram", "--delta-grid", "0:1:1e-17"],
             "--delta-grid: grid 0.0:1.0:1e-17 has too many points to allocate",
         ),
+        (
+            ["wavefunction", "--delta", "1", "--g", "0.5", "--n-trunc", "10",
+             "--xi-max", "1e300", "--xi-step", "1e-10"],
+            "grid of --xi-max 1e+300 and --xi-step 1e-10 has too many points to count",
+        ),
+        (
+            ["wavefunction", "--delta", "1", "--g", "0.5", "--n-trunc", "10",
+             "--xi-max", "1e6", "--xi-step", "1e-7"],
+            "grid of --xi-max 1000000.0 and --xi-step 1e-07 has too many points to allocate",
+        ),
         (["parity", "--delta", "1", "--g", "0.5", "--format", "xml"], "--format must be csv"),
         (
             ["parity", "--delta", "1", "--g", "1e308", "--n-trunc", "10", "--levels", "2"],
@@ -639,6 +649,8 @@ def test_phase_diagram_sentinel_failure(tmp_path):
         "unaddressable_ratio_grid",
         "unallocatable_coupling_grid",
         "unallocatable_delta_grid",
+        "uncountable_position_grid",
+        "unallocatable_position_grid",
         "unknown_format",
         "overflowing_coupling",
     ],

@@ -81,3 +81,19 @@ def test_src_reads_no_environment():
         if isinstance(node, ast.Attribute) and node.attr in ("environ", "environb", "getenv")
     ]
     assert reads == []
+
+
+def test_only_eigensolve_reaches_the_lapack_solvers():
+    # every eigensolve keeps its contract: no module but eigensolve.py
+    # refers to scipy.linalg.eigh or eigh_tridiagonal, by attribute, name or import
+    solvers = {"eigh", "eigh_tridiagonal"}
+    refs = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "eigensolve.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr in solvers)
+        or (isinstance(node, ast.Name) and node.id in solvers)
+        or (isinstance(node, ast.ImportFrom) and solvers & {alias.name for alias in node.names})
+    ]
+    assert refs == []

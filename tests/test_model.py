@@ -14,7 +14,8 @@ from rabi_lab.model import (
     sector_hamiltonian,
     shifted_energy,
 )
-from rabi_lab.eigensolve import eig_sym_dense, eig_sym_tridiag
+from rabi_lab.eigensolve import eig_sym_tridiag
+from rabi_lab.sweeps import solve_point
 
 from oracles import jacobi_eigh, spin_rotation, spin_z_hamiltonian
 
@@ -152,16 +153,14 @@ def test_hamiltonian_matches_spin_z_kron_assembly():
 def test_spectrum_matches_jacobi_on_spin_z_assembly():
     # full independence: different basis, different eigensolver
     delta, g, n = 1.0, 0.3, 8
-    h = build_hamiltonian(ModelParams(delta, g), Truncation(n))
-    spectrum = eig_sym_dense(h)
+    spectrum = solve_point(ModelParams(delta, g), Truncation(n), 2 * n)
     wz, _ = jacobi_eigh(spin_z_hamiltonian(delta, g, n))
     assert np.abs(spectrum.eigenvalues - wz).max() <= 1e-12
 
 
 def test_coupling_zero_spectrum_closed_form():
     delta, n = 3.7, 20
-    h = build_hamiltonian(ModelParams(delta, 0.0), Truncation(n))
-    spectrum = eig_sym_dense(h)
+    spectrum = solve_point(ModelParams(delta, 0.0), Truncation(n), 2 * n)
     expected = np.sort(
         np.concatenate(
             [np.arange(n) + delta / 2.0, np.arange(n) - delta / 2.0]
@@ -198,11 +197,11 @@ def test_sector_entries_explicit():
 def test_sector_union_matches_full_spectrum():
     params = ModelParams(1.3, 0.7)
     tr = Truncation(30)
-    full = eig_sym_dense(build_hamiltonian(params, tr)).eigenvalues
+    full = solve_point(params, tr, tr.dim).eigenvalues
     parts = []
     for sector in (1, -1):
         diag, off = sector_hamiltonian(params, tr, sector)
-        parts.append(eig_sym_tridiag(diag, off).eigenvalues)
+        parts.append(eig_sym_tridiag(diag, off, tr.n_trunc).eigenvalues)
     union = np.sort(np.concatenate(parts))
     assert np.abs(full - union).max() <= 1e-10
 
@@ -211,7 +210,7 @@ def test_normal_phase_parity_purity():
     # below half the critical coupling every low state keeps a sharp parity
     params = ModelParams(1.0, 0.45 * critical_coupling(1.0))
     tr = Truncation(60)
-    sp = eig_sym_dense(build_hamiltonian(params, tr), k=6)
+    sp = solve_point(params, tr, 6)
     pd = parity_diagonal(tr)
     for i in range(6):
         v = sp.eigenvectors[:, i]

@@ -6,11 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from rabi_lab.eigensolve import eig_sym_dense
 from rabi_lab.model import (
     ModelParams,
     Truncation,
-    build_hamiltonian,
     critical_coupling,
     parity_diagonal,
 )
@@ -77,7 +75,7 @@ def test_pair_report_populations_of_fock_states():
     # levels n -+ 0.15 apart, so levels 2n and 2n+1 hold photon number n
     params = ModelParams(0.3, 0.0)
     tr = Truncation(8)
-    pairs = pair_report(eig_sym_dense(build_hamiltonian(params, tr), k=tr.dim), params, tr)
+    pairs = pair_report(solve_point(params, tr, tr.dim), params, tr)
     assert [pair.pair_index for pair in pairs] == list(range(tr.n_trunc))
     for n, pair in enumerate(pairs):
         even = n % 2 == 0
@@ -176,7 +174,7 @@ def test_subspace_trace_invariant_under_rotation():
 def test_pair_report_regular_regime():
     params = ModelParams(1.0, 0.5 * critical_coupling(1.0))
     tr = Truncation(60)
-    sp = eig_sym_dense(build_hamiltonian(params, tr), k=8)
+    sp = solve_point(params, tr, 8)
     pairs = pair_report(sp, params, tr)
     assert [p.pair_index for p in pairs] == [0, 1, 2, 3]
     for p in pairs:
@@ -195,7 +193,7 @@ def test_pair_report_regular_regime():
 def test_pair_report_flags_degenerate_doublets():
     params = ModelParams(0.0, 1.0)
     tr = Truncation(80)
-    sp = eig_sym_dense(build_hamiltonian(params, tr), k=4)
+    sp = solve_point(params, tr, 4)
     pairs = pair_report(sp, params, tr)
     assert all(p.degenerate for p in pairs)
 
@@ -203,12 +201,12 @@ def test_pair_report_flags_degenerate_doublets():
 def test_pair_report_validation():
     params = ModelParams(1.0, 0.5)
     tr = Truncation(20)
-    sp = eig_sym_dense(build_hamiltonian(params, tr), k=4)
+    sp = solve_point(params, tr, 4)
     with pytest.raises(ValueError):
         pair_report(sp, params, tr, eps_par=0.0)
     with pytest.raises(ValueError):
         pair_report(sp, params, tr, eps_par=1.0)
-    single = eig_sym_dense(build_hamiltonian(params, tr), k=1)
+    single = solve_point(params, tr, 1)
     with pytest.raises(ValueError, match="need at least two levels"):
         pair_report(single, params, tr)
     with pytest.raises(ValueError, match="state length 40 does not match dimension 42"):

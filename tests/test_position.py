@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rabi_lab.eigensolve import eig_sym_dense
-from rabi_lab.model import ModelParams, Truncation, build_hamiltonian, critical_coupling
+from rabi_lab.model import ModelParams, Truncation, critical_coupling
 from rabi_lab.parity import parity_expectation
 from rabi_lab.position import (
     ALIASING_N,
@@ -16,6 +15,7 @@ from rabi_lab.position import (
     position_wavefunction,
     symmetry_defect,
 )
+from rabi_lab.sweeps import solve_point
 
 from oracles import gram_matrix
 
@@ -38,6 +38,14 @@ def test_grid_validation():
         PositionGrid(10.0, 0.0)
     with pytest.raises(ValueError):
         PositionGrid(10.0, -0.1)
+    # a window too wide to count, then one of 2e13 points (146 TiB, more
+    # than a process can map): refused as input errors, no memory touched
+    for xi_max, step, message in (
+        (1e300, 1e-10, r"^grid of xi_max 1e\+300 and step 1e-10 has too many points to count$"),
+        (1e6, 1e-7, r"^grid of xi_max 1000000\.0 and step 1e-07 has too many points to allocate$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            PositionGrid(xi_max, step)
 
 
 def test_default_grid_scales_with_coupling():
@@ -96,7 +104,7 @@ def test_hermite_basis_count_validation():
 def test_wavefunction_of_uncoupled_ground_state():
     params = ModelParams(1.0, 0.0)
     tr = Truncation(30)
-    sp = eig_sym_dense(build_hamiltonian(params, tr), k=1)
+    sp = solve_point(params, tr, 1)
     grid = PositionGrid(10.0, 0.02)
     (wf,) = position_wavefunction(sp.eigenvectors, grid, tr)
     # ground state at g=0 is |n=0, s=-1>: all weight in the minus component
@@ -110,7 +118,7 @@ def test_wavefunction_of_uncoupled_ground_state():
 def test_wavefunction_rejects_clipped_grid():
     params = ModelParams(1.0, 3.0 * critical_coupling(1.0))
     tr = Truncation(300)
-    sp = eig_sym_dense(build_hamiltonian(params, tr), k=1)
+    sp = solve_point(params, tr, 1)
     with pytest.raises(ValueError):
         position_wavefunction(sp.eigenvectors, PositionGrid(3.0, 0.02), tr)
 
@@ -140,7 +148,7 @@ def test_defect_zero_for_pure_and_one_for_equal_mixture():
 def test_defect_matches_parity_purity():
     params = ModelParams(5.0, 1.1 * critical_coupling(5.0))
     tr = Truncation(120)
-    sp = eig_sym_dense(build_hamiltonian(params, tr), k=2)
+    sp = solve_point(params, tr, 2)
     grid = PositionGrid.default_for(params.g)
     for lv, wf in enumerate(position_wavefunction(sp.eigenvectors, grid, tr)):
         v = sp.eigenvectors[:, lv]

@@ -8,7 +8,7 @@ import scipy.linalg
 
 from rabi_lab import sweeps
 from rabi_lab.io import render_table
-from rabi_lab.eigensolve import SolverError, eig_sym_dense, eig_sym_tridiag
+from rabi_lab.eigensolve import DEGENERACY_RTOL, SolverError, eig_sym_tridiag
 from rabi_lab.model import (
     ModelParams,
     Truncation,
@@ -105,22 +105,25 @@ def test_solve_point_matches_sector_merge():
 
 def test_solve_point_in_place_matches_supplied_matrix_bitwise():
     # solve_point hands its Hamiltonian over and checks it on the sector
-    # tridiagonals; a copy of the same matrix checked in full must give the
-    # same bytes, here where evr mixes the doublets of a delta=50 window
+    # tridiagonals; raw evr on an untouched array of the same matrix, put in
+    # the tie order (energy, then first component above 1e-12), must give
+    # the same bytes, here where evr mixes the doublets of a delta=50 window
     tr = Truncation(200)
     gc = critical_coupling(50.0)
     for ratio in grid_values(1.40, 1.60, 0.02):
         params = ModelParams(50.0, ratio * gc)
         h = build_hamiltonian(params, tr)
-        kept = h.copy()
-        ref = eig_sym_dense(h, 8)
-        assert np.array_equal(h, kept)  # a supplied matrix is left as it was
+        w, v = scipy.linalg.eigh(h, subset_by_index=(0, 7), driver="evr")
+        order = np.lexsort((np.argmax(np.abs(v) > 1e-12, axis=0), w))
+        w, v = w[order], v[:, order]
+        scale = max(1.0, np.abs(h).max())
         sp = solve_point(params, tr, 8)
-        assert sp.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
-        assert sp.eigenvectors.tobytes() == ref.eigenvectors.tobytes()
-        assert np.array_equal(sp.near_degenerate, ref.near_degenerate)
-        assert sp.meta == ref.meta
-        assert np.abs(sp.residual_norms - ref.residual_norms).max() <= 1e-12 * ref.meta.scale
+        assert sp.eigenvalues.tobytes() == w.tobytes()
+        assert sp.eigenvectors.tobytes() == v.tobytes()
+        assert np.array_equal(sp.near_degenerate, np.diff(w) < DEGENERACY_RTOL * scale)
+        assert (sp.meta.dim, sp.meta.scale) == (tr.dim, scale)
+        residuals = np.linalg.norm(h @ v - v * w, axis=0)
+        assert np.abs(sp.residual_norms - residuals).max() <= 1e-12 * scale
 
 
 def test_solve_point_hands_its_matrix_over(monkeypatch):
@@ -479,9 +482,9 @@ def test_phase_scan_records_the_level_count_it_solves(monkeypatch):
     requested = []
     dense = sweeps.eig_sym_dense
 
-    def recording(matrix, k=None, **handoff):
+    def recording(matrix, blocks, k):
         requested.append(k)
-        return dense(matrix, k, **handoff)
+        return dense(matrix, blocks, k)
 
     monkeypatch.setattr(sweeps, "eig_sym_dense", recording)
     res = phase_boundary_scan(
