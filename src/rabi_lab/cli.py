@@ -62,7 +62,9 @@ from .position import (
 from .sweeps import (
     SENTINEL_THRESHOLD,
     SweepResult,
+    _blas_environment,
     _coupling_axis,
+    _set_numpy_threads,
     convergence_sweep,
     coupling_sweep,
     grid_values,
@@ -352,6 +354,7 @@ def _finish(cfg: ResolvedConfig, extra: dict, failures: list, tables: Iterable, 
             "sentinel_threshold": SENTINEL_THRESHOLD,
         },
         "wall_time_s": time.perf_counter() - t0,
+        "environment": _blas_environment(),
         **extra,
         "files": files,
         "sentinel": {"all_passed": not failures, "failures": failures},
@@ -437,6 +440,7 @@ def main(argv: Optional[list] = None) -> int:
         return EXIT_CONFIG
     except SystemExit as exc:
         return int(exc.code or 0)
+    before = _set_numpy_threads(1)  # restored on every return path
     try:
         return run_job(cfg)
     except SolverError as exc:
@@ -448,6 +452,8 @@ def main(argv: Optional[list] = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        _set_numpy_threads(before)
 
 
 if __name__ == "__main__":  # pragma: no cover

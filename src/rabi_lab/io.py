@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Sequence
 
@@ -86,9 +85,10 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
     """Write-all-or-nothing via a same-directory temp file and rename."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    tmp_name = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    handle = open(tmp_name, "xb")  # the mode a plain open() gives: 0o666 less the umask
     try:
-        with os.fdopen(fd, "wb") as handle:
+        with handle:
             handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())

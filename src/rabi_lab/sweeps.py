@@ -7,8 +7,11 @@ argument alone sets the process count (0 means the CPU count, default 1),
 at most one per item, and meta ``workers`` records it: this process is one
 of them, the others are spawn children.  Results merge back in grid order,
 identical for any worker count while this process and its children run
-the same BLAS thread count; children take theirs from the environment at
-import, so a runtime change here (threadpoolctl, say) breaks that.  Bound
+scipy's LAPACK on the same thread count, taken from the environment at
+import (so a runtime change here, threadpoolctl say, breaks that).  The
+children hold numpy's own OpenBLAS, which serves only small products, at
+one thread, as a CLI job does; without one (off Linux, MKL, one OpenBLAS
+shared with scipy) nothing is set.  Bound
 inputs are data only: a point looks the solve, sentinel and parity
 functions up as module globals when it runs, so a wrapper installed on
 this module (the benchmark tracer, ``perfbench/tracing.py``) sees every
@@ -34,16 +37,18 @@ A solver failure is re-raised naming the grid index, delta and g of its point.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import multiprocessing
 import os
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy
 
 from .eigensolve import SolverError, Spectrum, _tie_order, eig_sym_dense, eig_sym_tridiag
 from .model import (
@@ -178,6 +183,54 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return workers or os.cpu_count() or 1
 
 
+def _openblas_call(lib, name: str, *args, restype=ctypes.c_int):
+    """lib's ``{scipy_,}openblas_<name>{64_,}`` on int args; None if it has none."""
+    names = [f"{p}_{name}{s}" for p in ("scipy_openblas", "openblas") for s in ("64_", "")]
+    for function in (getattr(lib, symbol) for symbol in names if hasattr(lib, symbol)):
+        function.restype, function.argtypes = restype, [ctypes.c_int] * len(args)
+        return function(*args)
+    return None
+
+
+@lru_cache(maxsize=None)
+def _mapped_openblas() -> tuple:
+    """(path, handle) of every OpenBLAS mapped into this process; () off Linux."""
+    try:
+        with open("/proc/self/maps") as handle:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in handle if "openblas" in line}
+        return tuple((path, ctypes.CDLL(path, mode=os.RTLD_NOLOAD)) for path in sorted(paths))
+    except (OSError, AttributeError):  # no /proc/self/maps, or no RTLD_NOLOAD
+        return ()
+
+
+def _numpy_openblas():
+    root = os.path.dirname(os.path.realpath(np.__file__))
+    own = [lib for p, lib in _mapped_openblas() if p.startswith((root + "/", root + ".libs/"))]
+    return own[0] if len(own) == 1 else None
+
+
+def _set_numpy_threads(count: Optional[int]) -> Optional[int]:
+    """Set numpy's own OpenBLAS to count threads (None sets nothing); its count before, or None."""
+    lib = _numpy_openblas()
+    before = None if lib is None or count is None else _openblas_call(lib, "get_num_threads")
+    if before is not None:
+        _openblas_call(lib, "set_num_threads", count, restype=None)
+    return before
+
+
+def _blas_environment() -> dict:
+    """Versions, and each mapped OpenBLAS's config, threads now and whether a job pins it."""
+    own = _numpy_openblas()
+    libs = [
+        {"file": os.path.basename(path), "threads": _openblas_call(lib, "get_num_threads"),
+         "config": (_openblas_call(lib, "get_config", restype=ctypes.c_char_p) or b"").decode(),
+         "pinned": lib is own}
+        for path, lib in _mapped_openblas()
+    ]
+    pin = "numpy's OpenBLAS at one thread" if own else "nothing pinned: no separate numpy OpenBLAS"
+    return {"numpy": np.__version__, "scipy": scipy.__version__, "openblas": libs, "pin": pin}
+
+
 def _sweep(columns: tuple, point, items: list, workers: Optional[int], meta: dict) -> SweepResult:
     """Map the point over the items and join the results in grid order.
 
@@ -191,7 +244,8 @@ def _sweep(columns: tuple, point, items: list, workers: Optional[int], meta: dic
         results = [point(item) for item in items]
     else:
         ctx = multiprocessing.get_context("spawn")
-        pool = ProcessPoolExecutor(max_workers=workers - 1, mp_context=ctx)
+        pool = ProcessPoolExecutor(max_workers=workers - 1, mp_context=ctx,
+                                   initializer=_set_numpy_threads, initargs=(1,))
         try:
             futures = [pool.submit(point, item) for item in items[:-1]] + [None]
             for index in reversed(range(len(items))):

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -127,6 +129,20 @@ def test_write_table_entry_matches_file(tmp_path):
     assert entry["name"] == "t.csv"
     assert entry["bytes"] == path.stat().st_size
     assert entry["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_artifacts_take_the_mode_of_a_plain_open(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        write_table(tmp_path / "t.csv", ("u",), [(1,)])
+        write_manifest(tmp_path, {"a": 1})
+        with open(tmp_path / "plain", "wb"):
+            pass
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == {"t.csv": mode, "manifest.json": mode, "plain": mode}
 
 
 def test_write_manifest_round_trip(tmp_path):
