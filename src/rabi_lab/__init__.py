@@ -13,6 +13,7 @@ from .eigensolve import (
     eig_sym_tridiag,
 )
 from .model import (
+    BANDWIDTH,
     ModelParams,
     Truncation,
     build_hamiltonian,
@@ -47,6 +48,7 @@ from .sweeps import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BANDWIDTH",
     "ModelParams",
     "PairParity",
     "PositionGrid",

@@ -1,17 +1,15 @@
 """Symmetric eigensolvers with enforced accuracy contracts.
 
-Two storage paths: dense (full two-component operator) and tridiagonal
-(single parity sector).  Both return a ``Spectrum`` in the level order of
-``_tie_order``, which the sector merge in ``sweeps`` shares.  Every
-returned set of eigenpairs passes one accuracy contract (residual,
-normalization and orthogonality bounds); a violation raises
+Two storage paths: dense (a symmetric band matrix held as a full array)
+and tridiagonal (single parity sector).  Both return a ``Spectrum`` in
+the level order of ``_tie_order``, which the sector merge in ``sweeps``
+shares.  Every returned set of eigenpairs passes one accuracy contract
+(residual, normalization and orthogonality bounds); a violation raises
 ``SolverError`` instead of returning silently degraded data.
 
-``eig_sym_dense`` solves in place the matrix it is handed, together with
-the (rows, diag, offdiag) sector tridiagonals it was written from: the
-input checks, the scale and the residual run on those blocks.
-``eig_sym_tridiag`` passes its one block through the same check-and-scale
-rule.
+Both check, scale and verify a solve on its matrix's band, the lower
+diagonals 0..bandwidth, a tridiagonal being the bandwidth-1 case.  An
+entry beyond the band fails the contract: LAPACK sees it, the residual not.
 
 Solves are deterministic for identical inputs within one build of the
 underlying LAPACK, which is what makes sweep output byte-reproducible.
@@ -22,7 +20,6 @@ whatever mixture the solver produced; no re-rotation is applied here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -80,18 +77,12 @@ class Spectrum:
         return len(self.eigenvalues)
 
 
-def _tridiag_matvec(diag: np.ndarray, offdiag: np.ndarray, v: np.ndarray) -> np.ndarray:
-    out = diag[:, None] * v
-    out[:-1] += offdiag[:, None] * v[1:]
-    out[1:] += offdiag[:, None] * v[:-1]
-    return out
-
-
-def _blocks_matvec(blocks, v: np.ndarray) -> np.ndarray:
-    """The direct sum of (rows, diag, offdiag) tridiagonal blocks applied to v."""
-    out = np.zeros_like(v)
-    for rows, diag, offdiag in blocks:
-        out[rows] = _tridiag_matvec(diag, offdiag, v[rows])
+def _band_matvec(band: list[np.ndarray], v: np.ndarray) -> np.ndarray:
+    """The symmetric matrix with lower diagonals band[0], band[1], ... applied to v's columns."""
+    out = band[0][:, None] * v
+    for d, b in enumerate(band[1:], start=1):
+        out[:-d] += b[:, None] * v[d:]
+        out[d:] += b[:, None] * v[:-d]
     return out
 
 
@@ -105,11 +96,12 @@ def _finalize(w: np.ndarray, v: np.ndarray, matvec, scale: float, path: str) -> 
 
     A level fails on its residual or norm defect; the set fails on any
     failing level or an off-diagonal Gram entry above ORTHO_TOL.  Every
-    comparison is written so that NaN fails it.
+    comparison is written so that NaN fails it.  The residuals are normed
+    in units of scale, so no finite matrix overflows their squares.
     """
     order = _tie_order(w, v)
     w, v = w[order], v[:, order]
-    residuals = np.linalg.norm(matvec(v) - v * w, axis=0)
+    residuals = np.linalg.norm((matvec(v) - v * w) / scale, axis=0) * scale
     norm_defects = np.abs(np.linalg.norm(v, axis=0) - 1.0)
     gram = v.T @ v
     np.fill_diagonal(gram, 0.0)
@@ -132,47 +124,49 @@ def _finalize(w: np.ndarray, v: np.ndarray, matvec, scale: float, path: str) -> 
     )
 
 
-def _checked_scale(blocks: Sequence, k: int, dim: int) -> float:
-    """Check k against dim and every block entry for finiteness; return max(1, max|entry|)."""
+def _checked_scale(band: list[np.ndarray], k: int, dim: int) -> float:
+    """Check k against dim and every band entry for finiteness; return max(1, max|entry|)."""
     k = _integer("k", k)
     if not 1 <= k <= dim:
         raise ValueError(f"k must be in [1, {dim}], got {k}")
-    entries = [x for _, diag, offdiag in blocks for x in (diag, offdiag)]
-    if not all(np.isfinite(x).all() for x in entries):
-        raise ValueError("tridiagonal entries must be finite")
-    return max(1.0, *(float(np.abs(x).max(initial=0.0)) for x in entries))
+    if not all(np.isfinite(b).all() for b in band):
+        raise ValueError("band entries must be finite")
+    return max(1.0, *(float(np.abs(b).max(initial=0.0)) for b in band))
 
 
-def eig_sym_dense(matrix: np.ndarray, blocks: Sequence, k: int) -> Spectrum:
-    """Lowest k eigenpairs of a dense symmetric matrix, solved in place.
+def eig_sym_dense(matrix: np.ndarray, bandwidth: int, k: int) -> Spectrum:
+    """Lowest k eigenpairs of a dense symmetric band matrix, solved in place.
 
-    ``blocks`` are the (rows, diag, offdiag) tridiagonals the matrix was
-    written from, their rows partitioning the basis and every other entry
-    zero.  The checks, the scale and the residual run on the blocks in
-    O(dim), and LAPACK overwrites the matrix, without a copy if it is
-    Fortran-ordered float64; the caller must not use it again.
+    Every entry more than ``bandwidth`` off the diagonal must be zero.  The
+    lower diagonals 0..bandwidth, the triangle LAPACK reads, are copied
+    first; the checks, the scale and the residual run on those copies in
+    O(dim * bandwidth).  LAPACK then overwrites the matrix, without a copy
+    if it is Fortran-ordered float64; the caller must not use it again.
     """
     dim = len(matrix)
-    scale = _checked_scale(blocks, k, dim)
+    bandwidth = _integer("bandwidth", bandwidth)
+    if not 0 <= bandwidth <= dim - 1:
+        raise ValueError(f"bandwidth must be in [0, {dim - 1}], got {bandwidth}")
+    band = [np.diagonal(matrix, -d).astype(float) for d in range(bandwidth + 1)]
+    scale = _checked_scale(band, k, dim)
     try:
         w, v = scipy.linalg.eigh(
             matrix, subset_by_index=(0, k - 1), driver="evr", overwrite_a=True, check_finite=False
         )
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SolverError(f"dense solve failed for dim={dim}: {exc}") from exc
-    return _finalize(w, v, lambda x: _blocks_matvec(blocks, x), scale, "dense-evr")
+    return _finalize(w, v, lambda x: _band_matvec(band, x), scale, "dense-evr")
 
 
 def eig_sym_tridiag(diag: np.ndarray, offdiag: np.ndarray, k: int) -> Spectrum:
-    """Lowest k eigenpairs of a real symmetric tridiagonal matrix."""
-    d = np.asarray(diag, dtype=float)
-    e = np.asarray(offdiag, dtype=float)
+    """Lowest k eigenpairs of a real symmetric tridiagonal matrix, the bandwidth-1 band."""
+    d, e = band = [np.asarray(diag, dtype=float), np.asarray(offdiag, dtype=float)]
     if d.ndim != 1 or e.ndim != 1 or len(e) != len(d) - 1:
         raise ValueError(f"need len(offdiag) == len(diag) - 1, got {len(d)} and {len(e)}")
     dim = len(d)
-    scale = _checked_scale([(slice(None), d, e)], k, dim)
+    scale = _checked_scale(band, k, dim)
     try:
         w, v = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SolverError(f"tridiagonal solve failed for dim={dim}: {exc}") from exc
-    return _finalize(w, v, lambda x: _tridiag_matvec(d, e, x), scale, "tridiag")
+    return _finalize(w, v, lambda x: _band_matvec(band, x), scale, "tridiag")

@@ -20,6 +20,8 @@ basis state (n, s) is s * (-1)**n, giving the diagonal pattern
 (+1, -1, -1, +1, +1, -1, ...).  The coupling term flips s and shifts n by
 one, which preserves that label, so H never connects opposite parities
 and the commutator [H, P] vanishes identically even at finite truncation.
+It links index 2n to 2n + 3 and 2n + 1 to 2n + 2: H is a symmetric band of
+width BANDWIDTH = 3, which a spin flip at fixed n (2n to 2n + 1) keeps.
 
 Restricting to a fixed parity p forces s = p * (-1)**n and leaves a real
 symmetric tridiagonal matrix in n alone; the dense matrix is built from it:
@@ -43,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "BANDWIDTH",
     "ModelParams",
     "Truncation",
     "build_hamiltonian",
@@ -52,6 +55,8 @@ __all__ = [
     "sector_rows",
     "shifted_energy",
 ]
+
+BANDWIDTH = 3
 
 
 @dataclass(frozen=True)

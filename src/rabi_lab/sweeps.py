@@ -52,6 +52,7 @@ import scipy
 
 from .eigensolve import SolverError, Spectrum, _tie_order, eig_sym_dense, eig_sym_tridiag
 from .model import (
+    BANDWIDTH,
     ModelParams,
     Truncation,
     _integer,
@@ -166,11 +167,7 @@ def solve_point(params: ModelParams, trunc: Truncation, n_levels: int) -> Spectr
     n_levels = _integer("n_levels", n_levels)
     if not 1 <= n_levels <= trunc.dim:
         raise ValueError(f"n_levels must be in [1, {trunc.dim}], got {n_levels}")
-    sectors = [
-        (sector_rows(trunc, sector), *sector_hamiltonian(params, trunc, sector))
-        for sector in (1, -1)
-    ]
-    return eig_sym_dense(build_hamiltonian(params, trunc), sectors, n_levels)
+    return eig_sym_dense(build_hamiltonian(params, trunc), BANDWIDTH, n_levels)
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:

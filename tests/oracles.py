@@ -113,25 +113,11 @@ def gram_matrix(table, step):
     return (table * w) @ table.T
 
 
-def random_blocks(rng, dim, scale=1.0):
-    """Random (rows, diag, offdiag) tridiagonals on a random partition of range(dim).
-
-    Two to four blocks, each on a random set of rows in random order: the
-    shape of input ``eig_sym_dense`` takes, with the sector rows of the
-    Rabi Hamiltonian as one special case.
-    """
-    cuts = np.sort(rng.choice(np.arange(1, dim), size=int(rng.integers(1, 4)), replace=False))
-    return [
-        (rows, scale * rng.standard_normal(len(rows)), scale * rng.standard_normal(len(rows) - 1))
-        for rows in np.split(rng.permutation(dim), cuts)
-    ]
-
-
-def dense_from_blocks(dim, blocks):
-    """The Fortran-ordered dim x dim matrix with each (rows, diag, offdiag) block on its rows."""
+def random_band(rng, dim, bandwidth, scale=1.0):
+    """A Fortran-ordered symmetric dim x dim matrix, standard normal times scale on
+    diagonals 0..bandwidth and zero beyond them: the input ``eig_sym_dense`` takes."""
     m = np.zeros((dim, dim), order="F")
-    for rows, diag, offdiag in blocks:
-        m[rows, rows] = diag
-        m[rows[:-1], rows[1:]] = offdiag
-        m[rows[1:], rows[:-1]] = offdiag
+    for d in range(bandwidth + 1):
+        rows = np.arange(dim - d)
+        m[rows + d, rows] = m[rows, rows + d] = scale * rng.standard_normal(dim - d)
     return m

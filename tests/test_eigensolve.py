@@ -1,6 +1,7 @@
 """Solver wrapper contracts: ordering, residuals, determinism, tie-breaking."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,29 +16,33 @@ from rabi_lab.eigensolve import (
     eig_sym_dense,
     eig_sym_tridiag,
 )
-from rabi_lab.model import ModelParams, Truncation, build_hamiltonian, sector_hamiltonian
+from rabi_lab.model import (
+    BANDWIDTH,
+    ModelParams,
+    Truncation,
+    build_hamiltonian,
+    sector_hamiltonian,
+)
 from rabi_lab.sweeps import solve_point
 
-from oracles import dense_from_blocks, jacobi_eigh, random_blocks
+from oracles import jacobi_eigh, random_band
 
 
-def _solve_blocks(blocks, k):
-    """eig_sym_dense on the matrix written from the blocks."""
-    dim = sum(len(diag) for _, diag, _ in blocks)
-    return eig_sym_dense(dense_from_blocks(dim, blocks), blocks, k)
+def _solve(matrix, bandwidth, k):
+    """eig_sym_dense on a copy, so the caller's matrix survives the in-place solve."""
+    return eig_sym_dense(matrix.copy(order="F"), bandwidth, k)
 
 
 def _diagonal(values):
-    """One block holding a diagonal matrix."""
-    return [(np.arange(len(values)), np.asarray(values, dtype=float), np.zeros(len(values) - 1))]
+    return np.diag(np.asarray(values, dtype=float))
 
 
 def test_dense_matches_jacobi_oracle():
     rng = np.random.default_rng(42)
-    for _ in range(5):
-        blocks = random_blocks(rng, 12)
-        w_oracle, _ = jacobi_eigh(dense_from_blocks(12, blocks))
-        sp = _solve_blocks(blocks, 12)
+    for bandwidth in (0, 1, 3, 5, 11):
+        m = random_band(rng, 12, bandwidth)
+        w_oracle, _ = jacobi_eigh(m)
+        sp = _solve(m, bandwidth, 12)
         assert np.abs(sp.eigenvalues - w_oracle).max() <= 1e-12
 
 
@@ -45,7 +50,8 @@ def test_dense_and_tridiag_paths_agree():
     params = ModelParams(1.0, 0.8)
     tr = Truncation(40)
     diag, off = sector_hamiltonian(params, tr, 1)
-    sp_d = _solve_blocks([(np.arange(tr.n_trunc), diag, off)], tr.n_trunc)
+    tri = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    sp_d = _solve(tri, 1, tr.n_trunc)
     sp_t = eig_sym_tridiag(diag, off, tr.n_trunc)
     scale = max(1.0, np.abs(diag).max(), np.abs(off).max())
     assert np.abs(sp_d.eigenvalues - sp_t.eigenvalues).max() <= 1e-11 * scale
@@ -53,9 +59,9 @@ def test_dense_and_tridiag_paths_agree():
 
 def test_contract_properties_random_instance():
     rng = np.random.default_rng(3)
-    blocks = random_blocks(rng, 30, scale=5.0)
-    scale = max(1.0, np.abs(dense_from_blocks(30, blocks)).max())
-    sp = _solve_blocks(blocks, 10)
+    m = random_band(rng, 30, 3, scale=5.0)
+    scale = max(1.0, np.abs(m).max())
+    sp = _solve(m, 3, 10)
     assert sp.k == 10
     assert sp.meta.scale == scale
     assert np.all(np.diff(sp.eigenvalues) >= 0.0)
@@ -69,34 +75,70 @@ def test_contract_properties_random_instance():
 
 def test_subset_matches_head_of_full_solve():
     rng = np.random.default_rng(8)
-    blocks = random_blocks(rng, 25)
-    full = _solve_blocks(blocks, 25)
-    head = _solve_blocks(blocks, 6)
+    m = random_band(rng, 25, 2)
+    full = _solve(m, 2, 25)
+    head = _solve(m, 2, 6)
     assert np.abs(full.eigenvalues[:6] - head.eigenvalues).max() <= 1e-12
 
 
+def test_large_finite_entries_pass_the_contract():
+    # residuals are normed in units of scale: at entries near 1e200 their
+    # squares would overflow to inf and fail a healthy solve
+    rng = np.random.default_rng(5)
+    m = random_band(rng, 30, 3, scale=1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sp = _solve(m, 3, 8)
+    assert sp.meta.scale == np.abs(m).max()
+    assert sp.residual_norms.max() <= RESIDUAL_RTOL * sp.meta.scale
+
+
+def test_entry_beyond_the_bandwidth_fails_the_contract():
+    # LAPACK solves the whole matrix, the residual sees only the band, so
+    # an entry the stated bandwidth leaves out cannot pass unnoticed
+    rng = np.random.default_rng(11)
+    m = random_band(rng, 20, 3)
+    m[15, 2] = m[2, 15] = 1.0
+    with pytest.raises(SolverError, match=r"^dense-evr: contract violated at levels \["):
+        _solve(m, 3, 20)
+    h = build_hamiltonian(ModelParams(2.0, 1.0), Truncation(20))
+    with pytest.raises(SolverError, match=r"^dense-evr: contract violated at levels \["):
+        eig_sym_dense(h, BANDWIDTH - 1, 6)
+
+
 def test_input_validation():
-    # every check runs on the blocks before LAPACK touches the matrix
-    blocks = _diagonal(np.ones(4))
+    # every check runs on the band before LAPACK touches the matrix
     for k in (0, 5):
         matrix = np.eye(4, order="F")
         with pytest.raises(ValueError, match=rf"^k must be in \[1, 4\], got {k}$"):
-            eig_sym_dense(matrix, blocks, k)
+            eig_sym_dense(matrix, 1, k)
         assert np.array_equal(matrix, np.eye(4))
-    with pytest.raises(ValueError, match="^tridiagonal entries must be finite$"):
-        _solve_blocks([*_diagonal([1.0, 2.0]), (np.array([2]), np.array([np.inf]), np.zeros(0))], 1)
+    for bandwidth, message in (
+        (-1, r"must be in \[0, 3\], got -1"),
+        (4, r"must be in \[0, 3\], got 4"),
+        (2.0, "must be an integer, got 2.0"),
+        (True, "must be an integer, got True"),
+    ):
+        matrix = np.eye(4, order="F")
+        with pytest.raises(ValueError, match=f"^bandwidth {message}$"):
+            eig_sym_dense(matrix, bandwidth, 2)
+        assert np.array_equal(matrix, np.eye(4))
+    inside = _diagonal([1.0, 2.0, 3.0])
+    inside[2, 1] = inside[1, 2] = np.inf
+    with pytest.raises(ValueError, match="^band entries must be finite$"):
+        eig_sym_dense(inside, 1, 1)
     with pytest.raises(ValueError):
         eig_sym_tridiag(np.ones(4), np.ones(4), 2)
-    with pytest.raises(ValueError, match="^tridiagonal entries must be finite$"):
+    with pytest.raises(ValueError, match="^band entries must be finite$"):
         eig_sym_tridiag(np.array([1.0, np.nan]), np.array([0.2]), 1)
     # a float level count is refused, not floored or passed on to LAPACK
     with pytest.raises(ValueError, match="^k must be an integer, got 2.7$"):
-        _solve_blocks(_diagonal(np.arange(6.0)), 2.7)
+        _solve(_diagonal(np.arange(6.0)), 0, 2.7)
     with pytest.raises(ValueError, match="^k must be an integer, got 2.5$"):
         eig_sym_tridiag(np.arange(6.0), np.ones(5), 2.5)
     # nor is a bool, though Python counts it as an int
     with pytest.raises(ValueError, match="^k must be an integer, got True$"):
-        _solve_blocks(_diagonal(np.ones(3)), True)
+        _solve(_diagonal(np.ones(3)), 0, True)
     with pytest.raises(ValueError, match="^k must be an integer, got False$"):
         eig_sym_tridiag(np.arange(6.0), np.ones(5), False)
 
@@ -112,12 +154,8 @@ def test_repeat_solve_is_bitwise_identical():
 
 
 def test_exact_ties_ordered_by_first_support():
-    # diag(3, 1, 1, 2, 1) split over two blocks, the tie at 1 across both
-    blocks = [
-        (np.array([4, 1]), np.array([1.0, 1.0]), np.zeros(1)),
-        (np.array([0, 2, 3]), np.array([3.0, 1.0, 2.0]), np.zeros(2)),
-    ]
-    sp = _solve_blocks(blocks, 5)
+    # diag(3, 1, 1, 2, 1): the three-fold tie at 1 sorts by basis index
+    sp = _solve(_diagonal([3.0, 1.0, 1.0, 2.0, 1.0]), 0, 5)
     assert np.array_equal(sp.eigenvalues, np.array([1.0, 1.0, 1.0, 2.0, 3.0]))
     supports = [int(np.flatnonzero(np.abs(sp.eigenvectors[:, i]) > 1e-12)[0]) for i in range(3)]
     assert supports == sorted(supports)
@@ -151,9 +189,9 @@ def test_healthy_solve_residuals():
 def test_degeneracy_threshold_scales_with_matrix():
     # gap of 1e-9 on a scale-1 matrix is not flagged; same gap is flagged
     # once the overall scale makes it relatively tiny
-    sp = _solve_blocks(_diagonal([0.0, 1e-9, 1.0]), 3)
+    sp = _solve(_diagonal([0.0, 1e-9, 1.0]), 0, 3)
     assert list(sp.near_degenerate) == [False, False]
-    sp_big = _solve_blocks(_diagonal([0.0, 1e-9, 1e7]), 3)
+    sp_big = _solve(_diagonal([0.0, 1e-9, 1e7]), 0, 3)
     assert bool(sp_big.near_degenerate[0]) is True
     assert DEGENERACY_RTOL == 1e-12
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rabi_lab.model import (
+    BANDWIDTH,
     ModelParams,
     Truncation,
     build_hamiltonian,
@@ -192,6 +193,17 @@ def test_sector_entries_explicit():
         assert np.abs(off - want_off).max() <= 1e-16
     with pytest.raises(ValueError):
         sector_hamiltonian(ModelParams(delta, g), Truncation(n), 0)
+
+
+def test_hamiltonian_is_zero_beyond_its_bandwidth():
+    # eig_sym_dense checks and verifies a solve on the band alone, so every
+    # entry beyond it, in either triangle, must be exactly zero; the
+    # coupling fills the outermost band diagonal, so the band is no wider
+    for delta, g, n in ((0.0, 0.0, 2), (1.0, 0.5, 3), (50.0, 4.0, 40), (1e3, 1e2, 101)):
+        h = build_hamiltonian(ModelParams(delta, g), Truncation(n))
+        rows, cols = np.indices(h.shape)
+        assert not h[np.abs(rows - cols) > BANDWIDTH].any()
+        assert np.diagonal(h, -BANDWIDTH).any() == (g > 0)
 
 
 def test_sector_union_matches_full_spectrum():

@@ -1,12 +1,13 @@
 """Grids, sentinel logic, sweep tables, worker-schedule independence."""
 
 import os
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from rabi_lab import sweeps
+from rabi_lab import model, sweeps
 from rabi_lab.io import render_table
 from rabi_lab.eigensolve import DEGENERACY_RTOL, SolverError, eig_sym_tridiag
 from rabi_lab.model import (
@@ -104,8 +105,8 @@ def test_solve_point_matches_sector_merge():
 
 
 def test_solve_point_in_place_matches_supplied_matrix_bitwise():
-    # solve_point hands its Hamiltonian over and checks it on the sector
-    # tridiagonals; raw evr on an untouched array of the same matrix, put in
+    # solve_point hands its Hamiltonian over and checks it on its own
+    # band; raw evr on an untouched array of the same matrix, put in
     # the tie order (energy, then first component above 1e-12), must give
     # the same bytes, here where evr mixes the doublets of a delta=50 window
     tr = Truncation(200)
@@ -138,6 +139,23 @@ def test_solve_point_hands_its_matrix_over(monkeypatch):
     params, tr = ModelParams(2.0, 1.0), Truncation(40)
     solve_point(params, tr, 4)
     assert not np.array_equal(built[0], build_hamiltonian(params, tr))
+
+
+def test_solve_point_builds_each_sector_once(monkeypatch):
+    # the operator has one source: build_hamiltonian writes each sector
+    # tridiagonal once, and solve_point reads neither it nor the sector rows
+    calls = []
+    original = model.sector_hamiltonian
+
+    def recording(params, trunc, sector):
+        calls.append((sector, sys._getframe(1).f_code.co_name))
+        return original(params, trunc, sector)
+
+    monkeypatch.setattr(model, "sector_hamiltonian", recording)
+    monkeypatch.setattr(sweeps, "sector_hamiltonian", recording)
+    monkeypatch.setattr(sweeps, "sector_rows", lambda *a: pytest.fail("sector_rows read"))
+    solve_point(ModelParams(2.0, 1.0), Truncation(40), 4)
+    assert calls == [(1, "build_hamiltonian"), (-1, "build_hamiltonian")]
 
 
 def test_overflowing_coupling_is_refused_before_any_solve(monkeypatch):
@@ -482,9 +500,9 @@ def test_phase_scan_records_the_level_count_it_solves(monkeypatch):
     requested = []
     dense = sweeps.eig_sym_dense
 
-    def recording(matrix, blocks, k):
+    def recording(matrix, bandwidth, k):
         requested.append(k)
-        return dense(matrix, blocks, k)
+        return dense(matrix, bandwidth, k)
 
     monkeypatch.setattr(sweeps, "eig_sym_dense", recording)
     res = phase_boundary_scan(
