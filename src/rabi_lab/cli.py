@@ -64,7 +64,8 @@ from .sweeps import (
     SweepResult,
     _blas_environment,
     _coupling_axis,
-    _set_numpy_threads,
+    _numpy_openblas,
+    _set_openblas_threads,
     convergence_sweep,
     coupling_sweep,
     grid_values,
@@ -440,7 +441,7 @@ def main(argv: Optional[list] = None) -> int:
         return EXIT_CONFIG
     except SystemExit as exc:
         return int(exc.code or 0)
-    before = _set_numpy_threads(1)  # restored on every return path
+    before = _set_openblas_threads({_numpy_openblas(): 1})  # restored on every return path
     try:
         return run_job(cfg)
     except SolverError as exc:
@@ -453,7 +454,7 @@ def main(argv: Optional[list] = None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     finally:
-        _set_numpy_threads(before)
+        _set_openblas_threads(before)
 
 
 if __name__ == "__main__":  # pragma: no cover

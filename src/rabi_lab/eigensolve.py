@@ -91,8 +91,8 @@ def _tie_order(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.lexsort((np.argmax(np.abs(v) > 1e-12, axis=0), w))
 
 
-def _finalize(w: np.ndarray, v: np.ndarray, matvec, scale: float, path: str) -> Spectrum:
-    """Tie-order the raw eigenpairs, enforce the contract, wrap as a Spectrum.
+def _finalize(w: np.ndarray, v: np.ndarray, band: list, scale: float, path: str) -> Spectrum:
+    """Tie-order the raw eigenpairs, enforce the contract on the band, wrap as a Spectrum.
 
     A level fails on its residual or norm defect; the set fails on any
     failing level or an off-diagonal Gram entry above ORTHO_TOL.  Every
@@ -101,7 +101,7 @@ def _finalize(w: np.ndarray, v: np.ndarray, matvec, scale: float, path: str) -> 
     """
     order = _tie_order(w, v)
     w, v = w[order], v[:, order]
-    residuals = np.linalg.norm((matvec(v) - v * w) / scale, axis=0) * scale
+    residuals = np.linalg.norm((_band_matvec(band, v) - v * w) / scale, axis=0) * scale
     norm_defects = np.abs(np.linalg.norm(v, axis=0) - 1.0)
     gram = v.T @ v
     np.fill_diagonal(gram, 0.0)
@@ -155,7 +155,7 @@ def eig_sym_dense(matrix: np.ndarray, bandwidth: int, k: int) -> Spectrum:
         )
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SolverError(f"dense solve failed for dim={dim}: {exc}") from exc
-    return _finalize(w, v, lambda x: _band_matvec(band, x), scale, "dense-evr")
+    return _finalize(w, v, band, scale, "dense-evr")
 
 
 def eig_sym_tridiag(diag: np.ndarray, offdiag: np.ndarray, k: int) -> Spectrum:
@@ -165,8 +165,9 @@ def eig_sym_tridiag(diag: np.ndarray, offdiag: np.ndarray, k: int) -> Spectrum:
         raise ValueError(f"need len(offdiag) == len(diag) - 1, got {len(d)} and {len(e)}")
     dim = len(d)
     scale = _checked_scale(band, k, dim)
+    p = 2.0 ** -np.frexp(scale)[1]  # exact scale into [0.5, 1): stebz fails from about 1e154
     try:
-        w, v = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
+        w, v = scipy.linalg.eigh_tridiagonal(d * p, e * p, select="i", select_range=(0, k - 1))
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SolverError(f"tridiagonal solve failed for dim={dim}: {exc}") from exc
-    return _finalize(w, v, lambda x: _band_matvec(band, x), scale, "tridiag")
+    return _finalize(w / p, v, band, scale, "tridiag")

@@ -6,16 +6,13 @@ per delta for the phase scan, ``(delta, g_c, grid)``.  The ``workers``
 argument alone sets the process count (0 means the CPU count, default 1),
 at most one per item, and meta ``workers`` records it: this process is one
 of them, the others are spawn children.  Results merge back in grid order,
-identical for any worker count while this process and its children run
-scipy's LAPACK on the same thread count, taken from the environment at
-import (so a runtime change here, threadpoolctl say, breaks that).  The
-children hold numpy's own OpenBLAS, which serves only small products, at
-one thread, as a CLI job does; without one (off Linux, MKL, one OpenBLAS
-shared with scipy) nothing is set.  Bound
-inputs are data only: a point looks the solve, sentinel and parity
-functions up as module globals when it runs, so a wrapper installed on
-this module (the benchmark tracer, ``perfbench/tracing.py``) sees every
-call made in this process.
+identical for any worker count: each child starts by setting every mapped
+OpenBLAS to this process's count when the pool starts, so every point runs
+LAPACK on the same threads, numpy's own to one thread as in a CLI job (off
+Linux, or without OpenBLAS, nothing is set).  Bound inputs are data only: a
+point looks the solve, sentinel and parity functions up as module globals
+when it runs, so a wrapper installed on this module (the benchmark tracer,
+``perfbench/tracing.py``) sees every call in this process.
 
 Each point is guarded by a truncation sentinel: the summed photon
 population of every retained state from photon index ceil(0.9 * n_trunc)
@@ -190,28 +187,29 @@ def _openblas_call(lib, name: str, *args, restype=ctypes.c_int):
 
 
 @lru_cache(maxsize=None)
-def _mapped_openblas() -> tuple:
-    """(path, handle) of every OpenBLAS mapped into this process; () off Linux."""
+def _mapped_openblas() -> dict:
+    """{path: handle} of every OpenBLAS mapped into this process; {} off Linux."""
     try:
         with open("/proc/self/maps") as handle:
             paths = {line.split(maxsplit=5)[-1].strip() for line in handle if "openblas" in line}
-        return tuple((path, ctypes.CDLL(path, mode=os.RTLD_NOLOAD)) for path in sorted(paths))
+        return {path: ctypes.CDLL(path, mode=os.RTLD_NOLOAD) for path in sorted(paths)}
     except (OSError, AttributeError):  # no /proc/self/maps, or no RTLD_NOLOAD
-        return ()
+        return {}
 
 
-def _numpy_openblas():
+def _numpy_openblas() -> Optional[str]:
+    """Path of numpy's own mapped OpenBLAS; None unless exactly one is found."""
     root = os.path.dirname(os.path.realpath(np.__file__))
-    own = [lib for p, lib in _mapped_openblas() if p.startswith((root + "/", root + ".libs/"))]
+    own = [path for path in _mapped_openblas() if path.startswith((root + "/", root + ".libs/"))]
     return own[0] if len(own) == 1 else None
 
 
-def _set_numpy_threads(count: Optional[int]) -> Optional[int]:
-    """Set numpy's own OpenBLAS to count threads (None sets nothing); its count before, or None."""
-    lib = _numpy_openblas()
-    before = None if lib is None or count is None else _openblas_call(lib, "get_num_threads")
-    if before is not None:
-        _openblas_call(lib, "set_num_threads", count, restype=None)
+def _set_openblas_threads(counts: dict) -> dict:
+    """Set each mapped OpenBLAS named in counts {path: threads}; every mapped one's count before."""
+    libs = _mapped_openblas()
+    before = {path: _openblas_call(lib, "get_num_threads") for path, lib in libs.items()}
+    for path in counts.keys() & libs.keys():
+        _openblas_call(libs[path], "set_num_threads", counts[path], restype=None)
     return before
 
 
@@ -221,8 +219,8 @@ def _blas_environment() -> dict:
     libs = [
         {"file": os.path.basename(path), "threads": _openblas_call(lib, "get_num_threads"),
          "config": (_openblas_call(lib, "get_config", restype=ctypes.c_char_p) or b"").decode(),
-         "pinned": lib is own}
-        for path, lib in _mapped_openblas()
+         "pinned": path == own}
+        for path, lib in _mapped_openblas().items()
     ]
     pin = "numpy's OpenBLAS at one thread" if own else "nothing pinned: no separate numpy OpenBLAS"
     return {"numpy": np.__version__, "scipy": scipy.__version__, "openblas": libs, "pin": pin}
@@ -240,9 +238,9 @@ def _sweep(columns: tuple, point, items: list, workers: Optional[int], meta: dic
     if workers <= 1:
         results = [point(item) for item in items]
     else:
-        ctx = multiprocessing.get_context("spawn")
-        pool = ProcessPoolExecutor(max_workers=workers - 1, mp_context=ctx,
-                                   initializer=_set_numpy_threads, initargs=(1,))
+        counts = {**_set_openblas_threads({}), _numpy_openblas(): 1}  # children copy, numpy at 1
+        pool = ProcessPoolExecutor(workers - 1, multiprocessing.get_context("spawn"),
+                                   initializer=_set_openblas_threads, initargs=(counts,))
         try:
             futures = [pool.submit(point, item) for item in items[:-1]] + [None]
             for index in reversed(range(len(items))):

@@ -83,14 +83,20 @@ def test_subset_matches_head_of_full_solve():
 
 def test_large_finite_entries_pass_the_contract():
     # residuals are normed in units of scale: at entries near 1e200 their
-    # squares would overflow to inf and fail a healthy solve
+    # squares would overflow to inf and fail a healthy solve; and LAPACK's
+    # tridiagonal bisection fails from about 1e154 on an unscaled band
     rng = np.random.default_rng(5)
-    m = random_band(rng, 30, 3, scale=1e200)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        sp = _solve(m, 3, 8)
-    assert sp.meta.scale == np.abs(m).max()
-    assert sp.residual_norms.max() <= RESIDUAL_RTOL * sp.meta.scale
+    for scale in (1e154, 1e200, 1e300):
+        dense, tri = random_band(rng, 30, 3, scale=scale), random_band(rng, 30, 1, scale=scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            solved = [
+                (dense, _solve(dense, 3, 8)),
+                (tri, eig_sym_tridiag(np.diag(tri), np.diag(tri, -1), 8)),
+            ]
+        for m, sp in solved:
+            assert sp.meta.scale == np.abs(m).max()
+            assert sp.residual_norms.max() <= RESIDUAL_RTOL * sp.meta.scale
 
 
 def test_entry_beyond_the_bandwidth_fails_the_contract():

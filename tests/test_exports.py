@@ -97,3 +97,19 @@ def test_only_eigensolve_reaches_the_lapack_solvers():
         or (isinstance(node, ast.ImportFrom) and solvers & {alias.name for alias in node.names})
     ]
     assert refs == []
+
+
+def test_only_sweeps_reaches_openblas():
+    # one lookup of the mapped OpenBLAS libraries and one setter: no other
+    # module imports ctypes or reads /proc/self/maps
+    refs = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "sweeps.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Import) and "ctypes" in {a.name.split(".")[0] for a in node.names})
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ctypes")
+        or (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and "/proc/self/maps" in node.value)
+    ]
+    assert refs == []
