@@ -1,7 +1,7 @@
 """Symmetric eigensolvers with enforced accuracy contracts.
 
 Two storage paths: dense (a symmetric band matrix held as a full array)
-and tridiagonal (single parity sector).  Both return a ``Spectrum`` in
+and tridiagonal (a parity sector, or both).  Both return a ``Spectrum`` in
 the level order of ``_tie_order``, which the sector merge in ``sweeps``
 shares.  Every returned set of eigenpairs passes one accuracy contract
 (residual, normalization and orthogonality bounds); a violation raises
@@ -159,7 +159,11 @@ def eig_sym_dense(matrix: np.ndarray, bandwidth: int, k: int) -> Spectrum:
 
 
 def eig_sym_tridiag(diag: np.ndarray, offdiag: np.ndarray, k: int) -> Spectrum:
-    """Lowest k eigenpairs of a real symmetric tridiagonal matrix, the bandwidth-1 band."""
+    """Lowest k eigenpairs of a real symmetric tridiagonal matrix, the bandwidth-1 band.
+
+    An exact zero off-diagonal splits it into blocks that LAPACK solves apart, each vector
+    on one block: the sector merge joins both parity sectors so, for one solve of both.
+    """
     d, e = band = [np.asarray(diag, dtype=float), np.asarray(offdiag, dtype=float)]
     if d.ndim != 1 or e.ndim != 1 or len(e) != len(d) - 1:
         raise ValueError(f"need len(offdiag) == len(diag) - 1, got {len(d)} and {len(e)}")

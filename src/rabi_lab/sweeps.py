@@ -27,8 +27,8 @@ a command-line option feeds is required; its default is the CLI's.
 Dense points run through ``_dense_point`` (solve, sentinel, pair report);
 ``phase_boundary_scan`` walks each delta's grid with it to find each pair's
 onset, the first coupling at which a member has |<P>| < 1 - eps_par.  The
-convergence sweep's ``merged_sector_levels`` places both sector spectra on
-the full basis under the dense path's tie order and ``tail_population``.
+convergence sweep's ``merged_sector_levels`` solves both sectors in one
+tridiagonal call, merged by the dense path's tie order and ``tail_population``.
 A solver failure is re-raised naming the grid index, delta and g of its point.
 """
 
@@ -301,10 +301,7 @@ def _coupling_axis(
 def _dense_point(
     index: int, delta: float, g: float, trunc: Truncation, n_levels: int, eps_par: float
 ) -> tuple[list[PairParity], bool]:
-    """Dense solve, tail sentinel and pair report of one grid point.
-
-    Returns the pair report and whether the sentinel passed.
-    """
+    """Dense solve, tail sentinel and pair report of one point: (pair report, sentinel passed)."""
     params = ModelParams(delta, g)
     spectrum = _solve_at(index, delta, g, solve_point, params, trunc, n_levels)
     ok = tail_population(spectrum.eigenvectors, trunc) < SENTINEL_THRESHOLD
@@ -366,26 +363,25 @@ def coupling_sweep(
 def merged_sector_levels(
     params: ModelParams, trunc: Truncation, n_levels: int
 ) -> tuple[np.ndarray, float]:
-    """Lowest n_levels of the union of both parity sectors.
+    """Lowest n_levels of the union of both parity sectors, from one tridiagonal solve.
 
     Returns (energies ascending, max tail population over the kept
-    states).  Each sector's eigenvectors sit on its ``sector_rows`` of one
-    full-basis block, as in ``build_hamiltonian``, so the dense path's tie
-    order and ``tail_population`` apply to the merge unchanged.
+    states).  The sector tridiagonals are joined by a zero off-diagonal,
+    so LAPACK solves each block apart, for one level more than kept: a
+    tie at the cut falls to the package's tie rule.  Each eigenvector
+    sits on its sector's ``sector_rows`` of one full-basis block, so the
+    dense path's tie order and ``tail_population`` apply unchanged.
     """
     n_levels = _integer("n_levels", n_levels)
     if not 1 <= n_levels <= trunc.dim:
         raise ValueError(f"n_levels must be in [1, {trunc.dim}], got {n_levels}")
-    per_sector = min(n_levels, trunc.n_trunc)
-    energies = np.empty(2 * per_sector)
-    block = np.zeros((trunc.dim, 2 * per_sector), order="F")  # column-major for column reductions
-    for sector, cols in ((1, np.s_[:per_sector]), (-1, np.s_[per_sector:])):
-        diag, off = sector_hamiltonian(params, trunc, sector)
-        spec = eig_sym_tridiag(diag, off, per_sector)
-        energies[cols] = spec.eigenvalues
-        block[sector_rows(trunc, sector), cols] = spec.eigenvectors
-    kept = _tie_order(energies, block)[:n_levels]
-    return energies[kept], tail_population(block[:, kept], trunc)
+    (d_even, e_even), (d_odd, e_odd) = (sector_hamiltonian(params, trunc, s) for s in (1, -1))
+    diag, offdiag = np.concatenate((d_even, d_odd)), np.concatenate((e_even, [0.0], e_odd))
+    spec = eig_sym_tridiag(diag, offdiag, min(n_levels + 1, trunc.dim))
+    block = np.zeros((trunc.dim, spec.k), order="F")  # column-major for column reductions
+    block[np.concatenate((sector_rows(trunc, 1), sector_rows(trunc, -1)))] = spec.eigenvectors
+    kept = _tie_order(spec.eigenvalues, block)[:n_levels]
+    return spec.eigenvalues[kept], tail_population(block[:, kept], trunc)
 
 
 def _convergence_point(

@@ -57,6 +57,22 @@ def test_dense_and_tridiag_paths_agree():
     assert np.abs(sp_d.eigenvalues - sp_t.eigenvalues).max() <= 1e-11 * scale
 
 
+def test_tridiag_split_by_a_zero_solves_each_block_apart():
+    # two blocks joined by an exact zero, as the sector merge joins the
+    # parity sectors: the lowest k of the union, each vector on one block
+    rng = np.random.default_rng(7)
+    diag, off = rng.normal(size=12), rng.normal(size=11)
+    off[6] = 0.0
+    sp = eig_sym_tridiag(diag, off, 6)
+    full = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    union = np.sort(np.r_[np.linalg.eigvalsh(full[:7, :7]), np.linalg.eigvalsh(full[7:, 7:])])
+    assert np.abs(sp.eigenvalues - union[:6]).max() <= 1e-12
+    on_first = [not sp.eigenvectors[7:, i].any() for i in range(6)]
+    on_second = [not sp.eigenvectors[:7, i].any() for i in range(6)]
+    assert all(a != b for a, b in zip(on_first, on_second))
+    assert any(on_first) and any(on_second)
+
+
 def test_contract_properties_random_instance():
     rng = np.random.default_rng(3)
     m = random_band(rng, 30, 3, scale=5.0)
