@@ -28,8 +28,9 @@ written (``n-trunc: expected an integer``), any other by its flag
 (``--ref 20 is below the largest of --truncs, 40``).
 
 Exit codes: 0 success, 2 configuration or I/O error (nothing is written
-unless the error comes from writing), 3 solver failure, 4 sentinel
-failure (results are still written, flagged).
+unless the error comes from writing), 3 solver failure (a sweep worker
+that died counts as one), 4 sentinel failure (results are still written,
+flagged).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import argparse
 import re
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -444,7 +446,7 @@ def main(argv: Optional[list] = None) -> int:
     before = _set_openblas_threads({_numpy_openblas(): 1})  # restored on every return path
     try:
         return run_job(cfg)
-    except SolverError as exc:
+    except (SolverError, BrokenProcessPool) as exc:  # or a sweep's pool lost a worker
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except ValueError as exc:

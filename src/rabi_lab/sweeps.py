@@ -5,11 +5,15 @@ maps that point function over one item per grid point, ``(index, g)``, or
 per delta for the phase scan, ``(delta, g_c, grid)``.  The ``workers``
 argument alone sets the process count (0 means the CPU count, default 1),
 at most one per item, and meta ``workers`` records it: this process is one
-of them, the others are spawn children.  Results merge back in grid order,
-identical for any worker count: each child starts by setting every mapped
-OpenBLAS to this process's count when the pool starts, so every point runs
-LAPACK on the same threads, numpy's own to one thread as in a CLI job (off
-Linux, or without OpenBLAS, nothing is set).  Bound inputs are data only: a
+of them, the others are spawn children, which take items from the front.
+This process runs items from the back until it meets one the pool has
+taken; the executor then drops the rest, and an item at that seam may run
+twice.  A child that dies fails the sweep with ``BrokenProcessPool``, its
+siblings terminated.  Results merge back in grid order, identical for any
+worker count: each child starts by setting every mapped OpenBLAS to this
+process's count when the pool starts, so every point runs LAPACK on the
+same threads, numpy's own to one thread as in a CLI job (off Linux, or
+without OpenBLAS, nothing is set).  Bound inputs are data only: a
 point looks the solve, sentinel and parity functions up as module globals
 when it runs, so a wrapper installed on this module (the benchmark tracer,
 ``perfbench/tracing.py``) sees every call in this process.
@@ -229,9 +233,13 @@ def _blas_environment() -> dict:
 def _sweep(columns: tuple, point, items: list, workers: Optional[int], meta: dict) -> SweepResult:
     """Map the point over the items and join the results in grid order.
 
-    For workers > 1, workers - 1 spawn children take items from the front;
-    this process runs the last item, then walks back running each item no
-    child has started.  A failure raises at the lowest failing index.
+    For workers > 1, workers - 1 spawn children take items from the front,
+    in order; this process runs the last item, then walks back until it
+    meets an item the pool has taken (running or done).  One shutdown then
+    waits for the pool's items and cancels the rest, which this process
+    ran; a seam item taken by both keeps this process's result.  A failure
+    raises at the lowest failing index; a dead child's items raise
+    ``BrokenProcessPool``, after the shutdown has terminated its siblings.
     """
     t0 = time.perf_counter()
     workers = min(resolve_workers(workers), len(items))
@@ -242,17 +250,18 @@ def _sweep(columns: tuple, point, items: list, workers: Optional[int], meta: dic
         pool = ProcessPoolExecutor(workers - 1, multiprocessing.get_context("spawn"),
                                    initializer=_set_openblas_threads, initargs=(counts,))
         try:
-            futures = [pool.submit(point, item) for item in items[:-1]] + [None]
+            futures = [pool.submit(point, item) for item in items[:-1]] + [Future()]
             for index in reversed(range(len(items))):
-                if futures[index] is None or futures[index].cancel():
-                    futures[index] = Future()
-                    try:
-                        futures[index].set_result(point(items[index]))
-                    except Exception as exc:
-                        futures[index].set_exception(exc)
-            results = [future.result() for future in futures]
+                if futures[index].running() or futures[index].done():
+                    break
+                futures[index] = Future()
+                try:
+                    futures[index].set_result(point(items[index]))
+                except Exception as exc:
+                    futures[index].set_exception(exc)
         finally:
             pool.shutdown(cancel_futures=True)
+        results = [future.result() for future in futures]
     meta.update(
         workers=workers,
         sentinel_failures=[bad for _, bad in results if bad is not None],

@@ -4,12 +4,17 @@ Everything here is deliberately written from scratch against textbook
 formulas: a cyclic Jacobi eigensolver instead of LAPACK, a Kronecker
 assembly of the coupled Hamiltonian in the spin-z product basis instead
 of the interleaved spin-x layout, and plain trapezoid quadrature.  Slow
-is fine; these only run on small problems.
+is fine; these only run on small problems.  ``shifted_solve`` is the one
+probe of the package itself: its dense solve on H + s*I, which moves no
+eigenvector and no gap, only the scale the solver resolves them against.
 """
 
 import math
 
 import numpy as np
+
+from rabi_lab.eigensolve import eig_sym_dense
+from rabi_lab.model import BANDWIDTH, build_hamiltonian
 
 
 def jacobi_eigh(matrix, tol=1e-15, max_sweeps=60):
@@ -73,6 +78,13 @@ def spin_z_hamiltonian(delta, g, n_trunc):
         + (delta / 2.0) * np.kron(np.eye(n_trunc), sx)
         + g * np.kron(quad, sz)
     )
+
+
+def shifted_solve(params, trunc, k, shift):
+    """Lowest k eigenpairs of H + shift * I: ``build_hamiltonian`` with its diagonal moved."""
+    matrix = build_hamiltonian(params, trunc)
+    matrix[np.diag_indices_from(matrix)] += shift
+    return eig_sym_dense(matrix, BANDWIDTH, k)
 
 
 def spin_rotation(n_trunc):

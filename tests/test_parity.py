@@ -12,10 +12,11 @@ from rabi_lab.model import (
     critical_coupling,
     parity_diagonal,
 )
+from rabi_lab import sweeps
 from rabi_lab.parity import pair_report, parity_expectation
 from rabi_lab.sweeps import coupling_sweep, grid_values, phase_boundary_scan, solve_point
 
-from oracles import parity_trace
+from oracles import parity_trace, shifted_solve
 
 
 def _basis_state(n, s, trunc):
@@ -246,3 +247,37 @@ def test_min_pair_parity_curves_regular_window():
     for per_point in curves.values():
         assert len(per_point) == len(ratios)
         assert all(len(pair) == 2 and min(pair) > 0.999 for pair in per_point.values())
+
+
+def _shifted_onsets(shift):
+    """Grid index of each of pairs 0-3's onsets under H + shift * I: delta=50,
+    N=200, 8 levels, on the sweep's own grid from g/g_c = 0.99 until all four."""
+    trunc = Truncation(200)
+    grid = grid_values(0, 2.5, 0.01) * critical_coupling(50.0)
+    onsets = {}
+    for i in range(99, len(grid)):
+        params = ModelParams(50.0, grid[i])
+        report = pair_report(shifted_solve(params, trunc, 8, shift), params, trunc)
+        assert max(abs(pair.parity_sum) for pair in report) <= 1e-8
+        for pair in report:
+            if not pair.regular:
+                onsets.setdefault(pair.pair_index, i)
+        if len(onsets) == 4:
+            return onsets
+    raise AssertionError(f"pairs {sorted(set(range(4)) - onsets.keys())} stay regular")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_constant_shift_moves_every_onset_down(threads):
+    # H + s*I keeps H's eigenvectors and gaps, so a doublet that mixed for
+    # a physical reason would mix at the same coupling; the shift raises
+    # only the scale (224 to 1e6) that the solve, contract-checked at every
+    # point, resolves the gap against, and each onset comes 8-16 steps
+    # earlier at both thread counts: a margin, not a pinned count
+    before = sweeps._set_openblas_threads({})
+    sweeps._set_openblas_threads({path: threads for path in before})
+    try:
+        plain, shifted = _shifted_onsets(0.0), _shifted_onsets(1e6)
+    finally:
+        sweeps._set_openblas_threads(before)
+    assert all(shifted[pair] < plain[pair] for pair in range(4)), (plain, shifted)

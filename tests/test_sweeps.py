@@ -1,7 +1,12 @@
 """Grids, sentinel logic, sweep tables, worker-schedule independence."""
 
+import multiprocessing
 import os
 import sys
+import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 
 import numpy as np
 import pytest
@@ -408,6 +413,37 @@ def test_sweep_raises_the_lowest_failing_grid_index(workers):
         coupling_sweep(
             1.0, g_grid=[0.5, 1e308, 1.5e308], n_levels=2, trunc=Truncation(10), workers=workers
         )
+
+
+def _die_in_first_child(marker, item):
+    """A slow point; the first pool child to run it exits at once, as a killed worker would."""
+    time.sleep(0.05)
+    if multiprocessing.parent_process() is not None:
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            pass
+        else:
+            os._exit(7)
+    return [(item,)], None
+
+
+def test_dead_worker_fails_the_sweep_and_leaves_no_process(tmp_path, monkeypatch, capfd):
+    # pytest's hook would collect a pool thread's death; the default prints it to stderr
+    monkeypatch.setattr(threading, "excepthook", threading.__excepthook__)
+    point = partial(_die_in_first_child, str(tmp_path / "died"))
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(BrokenProcessPool):
+            sweeps._sweep(("item",), point, list(range(40)), 3, {})
+        assert time.perf_counter() - t0 < 30
+        assert multiprocessing.active_children() == []
+    finally:  # a survivor would otherwise hang the interpreter at exit
+        for child in multiprocessing.active_children():
+            child.terminate()
+            child.join(timeout=10)
+    assert (tmp_path / "died").exists()
+    assert "Exception in thread" not in capfd.readouterr().err
 
 
 @pytest.mark.parametrize(
