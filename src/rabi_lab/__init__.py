@@ -6,12 +6,7 @@ eigenstate, and quantifies where pairs of near-degenerate levels stop
 being parity-pure while their pairwise parity sum stays pinned at zero.
 """
 
-from .eigensolve import (
-    SolverError,
-    Spectrum,
-    eig_sym_dense,
-    eig_sym_tridiag,
-)
+from .eigensolve import SolverError, Spectrum, eig_sym_dense, eig_sym_tridiag
 from .model import (
     BANDWIDTH,
     ModelParams,
@@ -23,11 +18,7 @@ from .model import (
     sector_rows,
     shifted_energy,
 )
-from .parity import (
-    PairParity,
-    pair_report,
-    parity_expectation,
-)
+from .parity import PairParity, pair_report, parity_expectation
 from .position import (
     PositionGrid,
     TwoComponentWavefunction,

@@ -28,9 +28,8 @@ written (``n-trunc: expected an integer``), any other by its flag
 (``--ref 20 is below the largest of --truncs, 40``).
 
 Exit codes: 0 success, 2 configuration or I/O error (nothing is written
-unless the error comes from writing), 3 solver failure (a sweep worker
-that died counts as one), 4 sentinel failure (results are still written,
-flagged).
+unless the error comes from writing), 3 solver failure, 4 sentinel
+failure (results are still written, flagged).
 """
 
 from __future__ import annotations
@@ -39,35 +38,21 @@ import argparse
 import re
 import sys
 import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from . import __version__
-from .eigensolve import (
-    DEGENERACY_RTOL,
-    NORM_TOL,
-    ORTHO_TOL,
-    RESIDUAL_RTOL,
-    SolverError,
-)
+from ._blas import _blas_environment, _numpy_openblas, _set_openblas_threads
+from .eigensolve import DEGENERACY_RTOL, NORM_TOL, ORTHO_TOL, RESIDUAL_RTOL, SolverError
 from .io import write_manifest, write_table
 from .model import ModelParams, Truncation, shifted_energy
 from .parity import DEFAULT_EPS_PAR, parity_expectation
-from .position import (
-    DEFAULT_STEP,
-    PositionGrid,
-    position_wavefunction,
-    symmetry_defect,
-)
+from .position import DEFAULT_STEP, PositionGrid, position_wavefunction, symmetry_defect
 from .sweeps import (
     SENTINEL_THRESHOLD,
     SweepResult,
-    _blas_environment,
     _coupling_axis,
-    _numpy_openblas,
-    _set_openblas_threads,
     convergence_sweep,
     coupling_sweep,
     grid_values,
@@ -192,7 +177,7 @@ _OPTIONS = {
                "half-width of the position grid (default: fits the coupling)"),
     "xi_step": (_parse_float, ("step", float), DEFAULT_STEP, "position grid step"),
     "workers": (_parse_int, ("workers", int), None,
-                "process count for grid points (0 = cpu count)"),
+                "thread count for grid points (0 = cpu count)"),
     "out": (_parse_str, None, None, "output directory for tables and manifest"),
     "format": (_parse_str, None, "csv", "table format: csv or json"),
 }
@@ -446,7 +431,7 @@ def main(argv: Optional[list] = None) -> int:
     before = _set_openblas_threads({_numpy_openblas(): 1})  # restored on every return path
     try:
         return run_job(cfg)
-    except (SolverError, BrokenProcessPool) as exc:  # or a sweep's pool lost a worker
+    except SolverError as exc:  # a sweep's names the grid point that failed
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except ValueError as exc:

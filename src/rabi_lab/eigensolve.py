@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from ._blas import stebz_stein
 from .model import _integer
 
 __all__ = [
@@ -167,11 +168,7 @@ def eig_sym_tridiag(diag: np.ndarray, offdiag: np.ndarray, k: int) -> Spectrum:
     d, e = band = [np.asarray(diag, dtype=float), np.asarray(offdiag, dtype=float)]
     if d.ndim != 1 or e.ndim != 1 or len(e) != len(d) - 1:
         raise ValueError(f"need len(offdiag) == len(diag) - 1, got {len(d)} and {len(e)}")
-    dim = len(d)
-    scale = _checked_scale(band, k, dim)
+    scale = _checked_scale(band, k, len(d))
     p = 2.0 ** -np.frexp(scale)[1]  # exact scale into [0.5, 1): stebz fails from about 1e154
-    try:
-        w, v = scipy.linalg.eigh_tridiagonal(d * p, e * p, select="i", select_range=(0, k - 1))
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise SolverError(f"tridiagonal solve failed for dim={dim}: {exc}") from exc
+    w, v = stebz_stein(d * p, e * p, k)  # scipy's stebz and stein, without the GIL
     return _finalize(w / p, v, band, scale, "tridiag")

@@ -3,20 +3,15 @@
 Every sweep binds its shared inputs once with ``functools.partial`` and
 maps that point function over one item per grid point, ``(index, g)``, or
 per delta for the phase scan, ``(delta, g_c, grid)``.  The ``workers``
-argument alone sets the process count (0 means the CPU count, default 1),
-at most one per item, and meta ``workers`` records it: this process is one
-of them, the others are spawn children, which take items from the front.
-This process runs items from the back until it meets one the pool has
-taken; the executor then drops the rest, and an item at that seam may run
-twice.  A child that dies fails the sweep with ``BrokenProcessPool``, its
-siblings terminated.  Results merge back in grid order, identical for any
-worker count: each child starts by setting every mapped OpenBLAS to this
-process's count when the pool starts, so every point runs LAPACK on the
-same threads, numpy's own to one thread as in a CLI job (off Linux, or
-without OpenBLAS, nothing is set).  Bound inputs are data only: a
-point looks the solve, sentinel and parity functions up as module globals
-when it runs, so a wrapper installed on this module (the benchmark tracer,
-``perfbench/tracing.py``) sees every call in this process.
+argument alone sets the thread count (0 means the CPU count, default 1),
+at most one per item, and meta ``workers`` records it.  The threads are
+this process's, so every point runs LAPACK at this process's OpenBLAS
+thread counts, and results merge back in grid order, identical for any
+worker count.  Tridiagonal solves release the GIL and run side by side;
+dense solves (``scipy.linalg.eigh``) hold it and run one at a time.
+Bound inputs are data only: a point looks the solve, sentinel and parity
+functions up as module globals when it runs, so a wrapper installed on
+this module (the benchmark tracer, ``perfbench/tracing.py``) sees every call.
 
 Each point is guarded by a truncation sentinel: the summed photon
 population of every retained state from photon index ceil(0.9 * n_trunc)
@@ -38,18 +33,15 @@ A solver failure is re-raised naming the grid index, delta and g of its point.
 
 from __future__ import annotations
 
-import ctypes
 import math
-import multiprocessing
 import os
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy
 
 from .eigensolve import SolverError, Spectrum, _tie_order, eig_sym_dense, eig_sym_tridiag
 from .model import (
@@ -172,7 +164,7 @@ def solve_point(params: ModelParams, trunc: Truncation, n_levels: int) -> Spectr
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
-    """Process count from the request alone: None gives 1, 0 the CPU count."""
+    """Thread count from the request alone: None gives 1, 0 the CPU count."""
     if workers is None:
         return 1
     workers = _integer("workers", workers)
@@ -181,87 +173,19 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return workers or os.cpu_count() or 1
 
 
-def _openblas_call(lib, name: str, *args, restype=ctypes.c_int):
-    """lib's ``{scipy_,}openblas_<name>{64_,}`` on int args; None if it has none."""
-    names = [f"{p}_{name}{s}" for p in ("scipy_openblas", "openblas") for s in ("64_", "")]
-    for function in (getattr(lib, symbol) for symbol in names if hasattr(lib, symbol)):
-        function.restype, function.argtypes = restype, [ctypes.c_int] * len(args)
-        return function(*args)
-    return None
-
-
-@lru_cache(maxsize=None)
-def _mapped_openblas() -> dict:
-    """{path: handle} of every OpenBLAS mapped into this process; {} off Linux."""
-    try:
-        with open("/proc/self/maps") as handle:
-            paths = {line.split(maxsplit=5)[-1].strip() for line in handle if "openblas" in line}
-        return {path: ctypes.CDLL(path, mode=os.RTLD_NOLOAD) for path in sorted(paths)}
-    except (OSError, AttributeError):  # no /proc/self/maps, or no RTLD_NOLOAD
-        return {}
-
-
-def _numpy_openblas() -> Optional[str]:
-    """Path of numpy's own mapped OpenBLAS; None unless exactly one is found."""
-    root = os.path.dirname(os.path.realpath(np.__file__))
-    own = [path for path in _mapped_openblas() if path.startswith((root + "/", root + ".libs/"))]
-    return own[0] if len(own) == 1 else None
-
-
-def _set_openblas_threads(counts: dict) -> dict:
-    """Set each mapped OpenBLAS named in counts {path: threads}; every mapped one's count before."""
-    libs = _mapped_openblas()
-    before = {path: _openblas_call(lib, "get_num_threads") for path, lib in libs.items()}
-    for path in counts.keys() & libs.keys():
-        _openblas_call(libs[path], "set_num_threads", counts[path], restype=None)
-    return before
-
-
-def _blas_environment() -> dict:
-    """Versions, and each mapped OpenBLAS's config, threads now and whether a job pins it."""
-    own = _numpy_openblas()
-    libs = [
-        {"file": os.path.basename(path), "threads": _openblas_call(lib, "get_num_threads"),
-         "config": (_openblas_call(lib, "get_config", restype=ctypes.c_char_p) or b"").decode(),
-         "pinned": path == own}
-        for path, lib in _mapped_openblas().items()
-    ]
-    pin = "numpy's OpenBLAS at one thread" if own else "nothing pinned: no separate numpy OpenBLAS"
-    return {"numpy": np.__version__, "scipy": scipy.__version__, "openblas": libs, "pin": pin}
-
-
 def _sweep(columns: tuple, point, items: list, workers: Optional[int], meta: dict) -> SweepResult:
-    """Map the point over the items and join the results in grid order.
+    """Map the point over the items on ``workers`` threads and join the results in grid order.
 
-    For workers > 1, workers - 1 spawn children take items from the front,
-    in order; this process runs the last item, then walks back until it
-    meets an item the pool has taken (running or done).  One shutdown then
-    waits for the pool's items and cancels the rest, which this process
-    ran; a seam item taken by both keeps this process's result.  A failure
-    raises at the lowest failing index; a dead child's items raise
-    ``BrokenProcessPool``, after the shutdown has terminated its siblings.
+    ``Executor.map`` yields in item order, so a failure raises at the
+    lowest failing index, and the items not yet started are cancelled.
     """
     t0 = time.perf_counter()
     workers = min(resolve_workers(workers), len(items))
-    if workers <= 1:
+    if workers <= 1:  # on this thread, where an interrupt stops the sweep at once
         results = [point(item) for item in items]
     else:
-        counts = {**_set_openblas_threads({}), _numpy_openblas(): 1}  # children copy, numpy at 1
-        pool = ProcessPoolExecutor(workers - 1, multiprocessing.get_context("spawn"),
-                                   initializer=_set_openblas_threads, initargs=(counts,))
-        try:
-            futures = [pool.submit(point, item) for item in items[:-1]] + [Future()]
-            for index in reversed(range(len(items))):
-                if futures[index].running() or futures[index].done():
-                    break
-                futures[index] = Future()
-                try:
-                    futures[index].set_result(point(items[index]))
-                except Exception as exc:
-                    futures[index].set_exception(exc)
-        finally:
-            pool.shutdown(cancel_futures=True)
-        results = [future.result() for future in futures]
+        with ThreadPoolExecutor(workers) as pool:
+            results = list(pool.map(point, items))
     meta.update(
         workers=workers,
         sentinel_failures=[bad for _, bad in results if bad is not None],

@@ -3,7 +3,6 @@
 import hashlib
 import inspect
 import json
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -265,17 +264,6 @@ def test_exit_code_solver_failure(tmp_path, monkeypatch):
         ]
     )
     assert rc == 3
-
-
-def test_exit_code_dead_sweep_worker(tmp_path, monkeypatch, capsys):
-    def broken(*args, **kwargs):
-        raise BrokenProcessPool("a worker died")
-
-    monkeypatch.setattr(cli, "convergence_sweep", broken)
-    argv = "converge --delta 1 --g-over-gc 0:1:0.5 --truncs 20 --ref 40 --levels 2 --workers 2"
-    assert main([*argv.split(), "--out", str(tmp_path / "x")]) == 3
-    assert capsys.readouterr().err == "solver failure: a worker died\n"
-    assert not (tmp_path / "x").exists()
 
 
 def test_exit_code_io_error(tmp_path):

@@ -1,12 +1,15 @@
 """Solver wrapper contracts: ordering, residuals, determinism, tie-breaking."""
 
 import re
+import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from rabi_lab import _blas, eigensolve
 from rabi_lab.eigensolve import (
     DEGENERACY_RTOL,
     NORM_TOL,
@@ -21,6 +24,7 @@ from rabi_lab.model import (
     ModelParams,
     Truncation,
     build_hamiltonian,
+    critical_coupling,
     sector_hamiltonian,
 )
 from rabi_lab.sweeps import solve_point
@@ -228,10 +232,12 @@ def test_contract_violation_raises(monkeypatch, solver):
     tr = Truncation(40)
     if solver == "eigh":
         solve, path = (lambda: solve_point(params, tr, 6)), "dense-evr"
-    else:
+        owner, name = scipy.linalg, "eigh"
+    else:  # the binding that returns eigh_tridiagonal's eigenpairs
         diag, off = sector_hamiltonian(params, tr, 1)
         solve, path = (lambda: eig_sym_tridiag(diag, off, k=6)), "tridiag"
-    original = getattr(scipy.linalg, solver)
+        owner, name = eigensolve, "stebz_stein"
+    original = getattr(owner, name)
 
     def corrupt(change):
         def patched(*args, **kwargs):
@@ -240,7 +246,7 @@ def test_contract_violation_raises(monkeypatch, solver):
             change(v)
             return w, v
 
-        monkeypatch.setattr(scipy.linalg, solver, patched)
+        monkeypatch.setattr(owner, name, patched)
 
     def nan_column(v):
         v[:, 1] = np.nan
@@ -268,3 +274,86 @@ def test_contract_violation_raises(monkeypatch, solver):
     assert tol < residual <= 1e-3
     assert norm <= NORM_TOL
     assert overlap <= ORTHO_TOL
+
+
+def _same_bits(ours, reference) -> bool:
+    """Equal bytes in the same layout, so later reductions see the same operands."""
+    return (ours.dtype, ours.shape, ours.strides, ours.tobytes()) == (
+        reference.dtype, reference.shape, reference.strides, reference.tobytes())
+
+
+def _assert_binding_matches_scipy(d, e, k):
+    w, v = _blas.stebz_stein(d, e, k)
+    w_ref, v_ref = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
+    assert _same_bits(w, w_ref) and _same_bits(v, v_ref), (len(d), k)
+
+
+@pytest.mark.parametrize("delta", [1.0, 50.0])
+@pytest.mark.parametrize("n_trunc", [10, 200, 2000])
+def test_binding_is_bitwise_eigh_tridiagonal_on_joined_sectors(delta, n_trunc):
+    # the sector merge's input: sector +1, a zero, sector -1, scaled by the
+    # power of two eig_sym_tridiag applies
+    tr = Truncation(n_trunc)
+    for ratio in (0.0, 0.5, 1.0, 1.45, 2.0, 3.0, 4.5, 6.0):
+        params = ModelParams(delta, ratio * critical_coupling(delta))
+        (d_even, e_even), (d_odd, e_odd) = (sector_hamiltonian(params, tr, s) for s in (1, -1))
+        d, e = np.concatenate((d_even, d_odd)), np.concatenate((e_even, [0.0], e_odd))
+        p = 2.0 ** -np.frexp(max(1.0, np.abs(d).max(), np.abs(e).max()))[1]
+        for k in (1, 9):
+            _assert_binding_matches_scipy(d * p, e * p, k)
+
+
+def test_binding_is_bitwise_eigh_tridiagonal_on_random_tridiagonals():
+    # exact-zero off-diagonals split the matrix into blocks; k runs to dim
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3, 8, 41, 300):
+        d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+        split = e.copy()
+        split[rng.choice(n - 1, size=(n - 1) // 3, replace=False)] = 0.0
+        ties = np.tile([0.5, -1.0], n)[:n]  # a diagonal of exact ties, split everywhere
+        for diag, off in ((d, e), (d, split), (ties, np.zeros(n - 1))):
+            for k in sorted({1, (n + 1) // 2, n}):
+                _assert_binding_matches_scipy(diag, off, k)
+
+
+def test_binding_raises_on_nonzero_info(monkeypatch):
+    d, e = np.arange(4.0), np.ones(3)
+    with pytest.raises(SolverError, match=r"^tridiagonal solve failed for dim=4: dstebz info=-7$"):
+        _blas.stebz_stein(d, e, 5)  # iu beyond n, refused by dstebz's argument check
+    stein = _blas._STEIN
+
+    def unconverged(*args):
+        stein(*args)
+        args[-1]._obj.value = 1  # info, passed by reference: one vector did not converge
+
+    monkeypatch.setattr(_blas, "_STEIN", unconverged)
+    with pytest.raises(SolverError, match=r"^tridiagonal solve failed for dim=4: dstein info=1$"):
+        eig_sym_tridiag(d, e, 2)
+
+
+def test_binding_releases_the_gil():
+    # a second thread counts while one call solves (about 0.2 s); a call
+    # that held the GIL, as scipy's f2py wrappers do, would stop the count
+    # for nearly all of it (about 4 % of the idle rate, measured)
+    rng = np.random.default_rng(3)
+    d, e = rng.standard_normal(50_000), rng.standard_normal(49_999)
+    count, done = [0], threading.Event()
+
+    def spin():
+        while not done.is_set():
+            count[0] += 1
+
+    def rate(action):
+        start, t0 = count[0], time.perf_counter()
+        action()
+        return (count[0] - start) / (time.perf_counter() - t0)
+
+    spinner = threading.Thread(target=spin)
+    spinner.start()
+    try:
+        idle = rate(lambda: time.sleep(0.2))
+        solving = rate(lambda: _blas.stebz_stein(d, e, 9))
+    finally:
+        done.set()
+        spinner.join()
+    assert solving > 0.3 * idle, (solving, idle)

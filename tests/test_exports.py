@@ -72,7 +72,7 @@ def test_every_export_has_a_caller_in_src():
 
 
 def test_src_reads_no_environment():
-    # a sweep's output and its process count come from its arguments alone,
+    # a sweep's output and its thread count come from its arguments alone,
     # so no module reads os.environ, os.environb or os.getenv
     reads = [
         f"{path.name}:{node.lineno}"
@@ -83,29 +83,40 @@ def test_src_reads_no_environment():
     assert reads == []
 
 
+def _names(node: ast.AST) -> list:
+    """Dotted names a node refers to: an attribute, a name, or an import's module and names."""
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
+    return []
+
+
 def test_only_eigensolve_reaches_the_lapack_solvers():
-    # every eigensolve keeps its contract: no module but eigensolve.py
-    # refers to scipy.linalg.eigh or eigh_tridiagonal, by attribute, name or import
-    solvers = {"eigh", "eigh_tridiagonal"}
+    # every eigensolve keeps its contract: no module but eigensolve.py refers
+    # to scipy.linalg.eigh, eigh_tridiagonal or the stebz_stein binding, and
+    # no module but _blas.py to cython_lapack, by attribute, name or import
+    owners = {"eigh": "eigensolve.py", "eigh_tridiagonal": "eigensolve.py",
+              "stebz_stein": "eigensolve.py", "cython_lapack": "_blas.py"}
     refs = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))
-        if path.name != "eigensolve.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if (isinstance(node, ast.Attribute) and node.attr in solvers)
-        or (isinstance(node, ast.Name) and node.id in solvers)
-        or (isinstance(node, ast.ImportFrom) and solvers & {alias.name for alias in node.names})
+        if any(path.name != owners[part]
+               for name in _names(node) for part in name.split(".") if part in owners)
     ]
     assert refs == []
 
 
-def test_only_sweeps_reaches_openblas():
+def test_only_blas_reaches_openblas():
     # one lookup of the mapped OpenBLAS libraries and one setter: no other
     # module imports ctypes or reads /proc/self/maps
     refs = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))
-        if path.name != "sweeps.py"
+        if path.name != "_blas.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if (isinstance(node, ast.Import) and "ctypes" in {a.name.split(".")[0] for a in node.names})
         or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ctypes")

@@ -12,7 +12,7 @@ from rabi_lab.model import (
     critical_coupling,
     parity_diagonal,
 )
-from rabi_lab import sweeps
+from rabi_lab import _blas
 from rabi_lab.parity import pair_report, parity_expectation
 from rabi_lab.sweeps import coupling_sweep, grid_values, phase_boundary_scan, solve_point
 
@@ -274,10 +274,10 @@ def test_constant_shift_moves_every_onset_down(threads):
     # only the scale (224 to 1e6) that the solve, contract-checked at every
     # point, resolves the gap against, and each onset comes 8-16 steps
     # earlier at both thread counts: a margin, not a pinned count
-    before = sweeps._set_openblas_threads({})
-    sweeps._set_openblas_threads({path: threads for path in before})
+    before = _blas._set_openblas_threads({})
+    _blas._set_openblas_threads({path: threads for path in before})
     try:
         plain, shifted = _shifted_onsets(0.0), _shifted_onsets(1e6)
     finally:
-        sweeps._set_openblas_threads(before)
+        _blas._set_openblas_threads(before)
     assert all(shifted[pair] < plain[pair] for pair in range(4)), (plain, shifted)

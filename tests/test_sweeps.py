@@ -1,18 +1,13 @@
 """Grids, sentinel logic, sweep tables, worker-schedule independence."""
 
-import multiprocessing
 import os
 import sys
-import threading
-import time
-from concurrent.futures.process import BrokenProcessPool
-from functools import partial
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from rabi_lab import model, sweeps
+from rabi_lab import eigensolve, model, sweeps
 from rabi_lab.io import render_table
 from rabi_lab.eigensolve import DEGENERACY_RTOL, SolverError, eig_sym_tridiag
 from rabi_lab.model import (
@@ -165,8 +160,8 @@ def test_solve_point_builds_each_sector_once(monkeypatch):
 
 def test_overflowing_coupling_is_refused_before_any_solve(monkeypatch):
     calls = []
-    for name in ("eigh", "eigh_tridiagonal"):
-        monkeypatch.setattr(scipy.linalg, name, lambda *a, **k: calls.append(1))
+    for owner, name in ((scipy.linalg, "eigh"), (eigensolve, "stebz_stein")):
+        monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(1))
     params, tr = ModelParams(1.0, 1e308), Truncation(10)
     message = r"^g=1e\+308 overflows g \* sqrt\(n\) at n_trunc=10$"
     for solve in (solve_point, merged_sector_levels):
@@ -374,10 +369,10 @@ def test_coupling_sweep_grid_argument_exclusivity():
     ids=["coupling", "convergence", "phase"],
 )
 def test_sweep_worker_count_does_not_change_bytes(sweep, items, failing):
-    # a request for more processes than items runs, and records, one per item
-    seq, par, over = sweep(1), sweep(2), sweep(4)
-    assert [res.meta["workers"] for res in (seq, par, over)] == [1, 2, items]
-    for res in (par, over):
+    # a request for more threads than items runs, and records, one per item
+    seq, *others = sweep(1), sweep(2), sweep(4), sweep(8)
+    assert [res.meta["workers"] for res in (seq, *others)] == [1, 2, items, items]
+    for res in others:
         assert repr(seq.rows) == repr(res.rows)  # a nan cell never compares equal, its repr does
         assert render_table(seq.columns, seq.rows) == render_table(res.columns, res.rows)
         assert seq.meta["sentinel_failures"] == res.meta["sentinel_failures"]
@@ -386,64 +381,34 @@ def test_sweep_worker_count_does_not_change_bytes(sweep, items, failing):
 
 def test_calling_process_shares_a_mixed_window_without_changing_bytes(monkeypatch):
     # g/g_c 1.40-1.60 at delta=50 holds irregular doublets, so a schedule
-    # that changed any solve would show in the parity columns; the wrapper
-    # counts only this process's points, as spawn children import afresh
+    # that changed any solve would show in the parity columns; the points
+    # run on this process's threads, so a module-global wrapper sees all 21
     kwargs = dict(ratio_grid=grid_values(1.40, 1.60, 0.01), n_levels=8, trunc=Truncation(200))
     seq = coupling_sweep(50.0, workers=1, **kwargs)
-    here = []
     solve = sweeps.solve_point
+    for workers in (2, 8):
+        here = []
 
-    def counted(params, *args):
-        here.append(params.g)
-        return solve(params, *args)
+        def counted(params, *args):
+            here.append(params.g)
+            return solve(params, *args)
 
-    monkeypatch.setattr(sweeps, "solve_point", counted)
-    par = coupling_sweep(50.0, workers=2, **kwargs)
-    assert par.meta["workers"] == 2
-    assert 1 <= len(here) < 21
-    assert render_table(seq.columns, seq.rows) == render_table(par.columns, par.rows)
+        monkeypatch.setattr(sweeps, "solve_point", counted)
+        par = coupling_sweep(50.0, workers=workers, **kwargs)
+        assert par.meta["workers"] == workers
+        assert sorted(here) == [row[0] for row in seq.rows[::8]]
+        assert render_table(seq.columns, seq.rows) == render_table(par.columns, par.rows)
     assert any(abs(row[5]) < 1 - 0.1 for row in seq.rows)  # the window is mixed
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_sweep_raises_the_lowest_failing_grid_index(workers):
-    # at more than one worker this process runs the last point, 1.5e308,
-    # first; index 1 must still be the one reported
+    # at more than one worker the last point, 1.5e308, can fail first on
+    # another thread; index 1 must still be the one reported
     with pytest.raises(ValueError, match=r"^g=1e\+308 overflows"):
         coupling_sweep(
             1.0, g_grid=[0.5, 1e308, 1.5e308], n_levels=2, trunc=Truncation(10), workers=workers
         )
-
-
-def _die_in_first_child(marker, item):
-    """A slow point; the first pool child to run it exits at once, as a killed worker would."""
-    time.sleep(0.05)
-    if multiprocessing.parent_process() is not None:
-        try:
-            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
-        except FileExistsError:
-            pass
-        else:
-            os._exit(7)
-    return [(item,)], None
-
-
-def test_dead_worker_fails_the_sweep_and_leaves_no_process(tmp_path, monkeypatch, capfd):
-    # pytest's hook would collect a pool thread's death; the default prints it to stderr
-    monkeypatch.setattr(threading, "excepthook", threading.__excepthook__)
-    point = partial(_die_in_first_child, str(tmp_path / "died"))
-    t0 = time.perf_counter()
-    try:
-        with pytest.raises(BrokenProcessPool):
-            sweeps._sweep(("item",), point, list(range(40)), 3, {})
-        assert time.perf_counter() - t0 < 30
-        assert multiprocessing.active_children() == []
-    finally:  # a survivor would otherwise hang the interpreter at exit
-        for child in multiprocessing.active_children():
-            child.terminate()
-            child.join(timeout=10)
-    assert (tmp_path / "died").exists()
-    assert "Exception in thread" not in capfd.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -725,13 +690,13 @@ def test_phase_scan_records_the_level_count_it_solves(monkeypatch):
 )
 def test_bad_sweep_arguments_solve_nothing(monkeypatch, sweep, message):
     calls = []
-    for name in ("eigh", "eigh_tridiagonal"):
+    for owner, name in ((scipy.linalg, "eigh"), (eigensolve, "stebz_stein")):
 
-        def counting(*args, _solver=getattr(scipy.linalg, name), **kwargs):
+        def counting(*args, _solver=getattr(owner, name), **kwargs):
             calls.append(1)
             return _solver(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     with pytest.raises(ValueError, match=f"^{message}"):
         sweep()
     assert calls == []
