@@ -14,7 +14,7 @@ solve, and its ValueError maps to exit 2 like a configuration error.
 
 Two tables declare the surface.  ``_OPTIONS`` gives each option its
 parser, the library parameter it feeds with the conversion of its parsed
-value (a range or a scalar becomes grid values, n_trunc a
+value (a range or a scalar becomes grid values, each cutoff a
 ``Truncation``), its built-in default, and its help.  ``_COMMANDS`` gives
 each command the function it calls, its options, and only the defaults
 that differ from ``_OPTIONS`` (wavefunction's levels, the g_over_gc grids
@@ -134,13 +134,7 @@ def _parse_scalar_or_range(text: str, key: str):
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"{key}: ranges use start:stop:step, got {text!r}")
-        start, stop, step = (_parse_float(p, key) for p in parts)
-        try:
-            spec = GridSpec(start, stop, step)
-            spec.values()
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from None
-        return spec
+        return GridSpec(*(_parse_float(p, key) for p in parts))
     return _parse_float(text, key)
 
 
@@ -149,7 +143,7 @@ def _parse_str(text: str, key: str) -> str:
 
 
 def _grid(value):
-    """Values of a range, or a scalar as a one-point grid."""
+    """Values of a range, or a scalar as a one-point grid: the one place a range is expanded."""
     return value.values() if isinstance(value, GridSpec) else [float(value)]
 
 
@@ -166,9 +160,9 @@ _OPTIONS = {
     "levels": (_parse_int, ("n_levels", int), 8, "number of lowest levels to report"),
     "eps_par": (_parse_float, ("eps_par", float), DEFAULT_EPS_PAR,
                 "irregularity threshold on 1 - |<P>|"),
-    "truncs": (_parse_int_list, ("trunc_list", list), [200, 400, 1000],
-               "comma-separated candidate truncations"),
-    "ref": (_parse_int, ("ref_trunc", int), 2000,
+    "truncs": (_parse_int_list, ("trunc_list", lambda ns: [Truncation(n) for n in ns]),
+               [200, 400, 1000], "comma-separated candidate truncations"),
+    "ref": (_parse_int, ("ref_trunc", Truncation), 2000,
             "reference truncation for convergence differences"),
     "delta_grid": (_parse_scalar_or_range, ("delta_grid", _grid), None,
                    "delta range start:stop:step"),
@@ -373,7 +367,7 @@ def _wavefunction_job(
     Returns (manifest entries, sentinel failures, tables made one level at
     a time as they are written); no tables after a failed sentinel.
     """
-    (g,), _ = _coupling_axis(delta, g_grid, ratio_grid)
+    (g,), _ = _coupling_axis(delta, g_grid, ratio_grid, trunc)
     params = ModelParams(delta, float(g))
     grid = PositionGrid.default_for(g, step) if xi_max is None else PositionGrid(xi_max, step)
     spectrum = solve_point(params, trunc, n_levels)

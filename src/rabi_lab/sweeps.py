@@ -20,8 +20,9 @@ are kept in the output with their sentinel column cleared, never dropped,
 and the indices are listed in the result metadata so callers can escalate.
 
 Every sweep checks all of its arguments before the first solve, so a bad
-argument raises ValueError without any work done.  Each parameter that
-a command-line option feeds is required; its default is the CLI's.
+argument raises ValueError without any work done.  A parameter that a
+command-line option feeds has no default of its own: it is required,
+defaults to None, or shares the CLI's default object (``eps_par``).
 
 Dense points run through ``_dense_point`` (solve, sentinel, pair report);
 ``phase_boundary_scan`` walks each delta's grid with it to find each pair's
@@ -205,14 +206,21 @@ def _solve_at(index: int, delta: float, g: float, solve, *args):
 
 
 def _coupling_axis(
-    delta: float, g_grid: Optional[Sequence[float]], ratio_grid: Optional[Sequence[float]]
+    delta: float,
+    g_grid: Optional[Sequence[float]],
+    ratio_grid: Optional[Sequence[float]],
+    trunc: Truncation,
 ) -> tuple[np.ndarray, dict]:
-    """Absolute coupling grid from exactly one of the two axes (named in errors), plus meta."""
+    """Absolute coupling grid from exactly one of the two axes (named in errors), plus meta.
+
+    Its lowest g that overflows ``sector_hamiltonian`` at ``trunc`` raises that ValueError.
+    """
     if (g_grid is None) == (ratio_grid is None):
         raise ValueError("provide exactly one of g_grid or ratio_grid")
     gc = critical_coupling(delta)
     if ratio_grid is not None:
-        name, grid = "ratio_grid", np.asarray(ratio_grid, dtype=float) * gc
+        with np.errstate(over="ignore"):  # a ratio whose g overflows is refused as not finite
+            name, grid = "ratio_grid", np.asarray(ratio_grid, dtype=float) * gc
     else:
         name, grid = "g_grid", np.asarray(g_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -221,6 +229,10 @@ def _coupling_axis(
         raise ValueError(f"{name} values must be finite and >= 0")
     if (np.diff(grid) <= 0).any():
         raise ValueError(f"{name} must be strictly increasing")
+    root = math.sqrt(trunc.n_trunc - 1)
+    if not math.isfinite(float(grid[-1]) * root):  # Python floats overflow without a warning
+        g = next(g for g in grid.tolist() if not math.isfinite(g * root))
+        raise ValueError(f"g={g!r} overflows g * sqrt(n) at n_trunc={trunc.n_trunc}")
     meta = {
         "delta": float(delta),
         "g_c": gc,
@@ -283,7 +295,7 @@ def coupling_sweep(
     selects the axis.  Emits two rows per pair and point in the pinned
     parity table layout.
     """
-    grid, meta = _coupling_axis(delta, g_grid, ratio_grid)
+    grid, meta = _coupling_axis(delta, g_grid, ratio_grid, trunc)
     n_levels = _integer("n_levels", n_levels)
     if n_levels % 2 or not 2 <= n_levels <= trunc.dim:
         raise ValueError(f"n_levels must be even and in [2, {trunc.dim}], got {n_levels}")
@@ -348,8 +360,8 @@ def convergence_sweep(
     g_grid: Optional[Sequence[float]] = None,
     *,
     ratio_grid: Optional[Sequence[float]] = None,
-    trunc_list: Sequence[int],
-    ref_trunc: int,
+    trunc_list: Sequence[Truncation],
+    ref_trunc: Truncation,
     n_levels: int,
     workers: Optional[int] = None,
 ) -> SweepResult:
@@ -359,28 +371,19 @@ def convergence_sweep(
     isolates the Fock cutoff and every truncation goes through the same
     solver.  The reference must not be smaller than any candidate.
     """
-    grid, meta = _coupling_axis(delta, g_grid, ratio_grid)
-    try:
-        truncs = [Truncation(n) for n in trunc_list]
-    except ValueError as exc:
-        raise ValueError(f"trunc_list: {exc}") from None
-    if not truncs:
+    grid, meta = _coupling_axis(delta, g_grid, ratio_grid, ref_trunc)
+    truncs = list(trunc_list)
+    sizes = [trunc.n_trunc for trunc in truncs]
+    if not sizes:
         raise ValueError("trunc_list must not be empty")
-    trunc_list = [trunc.n_trunc for trunc in truncs]
-    try:
-        ref = Truncation(ref_trunc)
-    except ValueError as exc:
-        raise ValueError(f"ref_trunc: {exc}") from None
-    largest = max(trunc_list)
-    if ref.n_trunc < largest:
-        raise ValueError(f"ref_trunc {ref_trunc} is below the largest of trunc_list, {largest}")
+    ref = ref_trunc.n_trunc
+    if ref < max(sizes):
+        raise ValueError(f"ref_trunc {ref} is below the largest of trunc_list, {max(sizes)}")
     n_levels = _integer("n_levels", n_levels)
-    if not 1 <= n_levels <= 2 * min(trunc_list):
-        raise ValueError(f"n_levels must be in [1, {2 * min(trunc_list)}], got {n_levels}")
-    point = partial(_convergence_point, float(delta), meta["g_c"], truncs, ref, n_levels)
-    meta.update(
-        kind="convergence_sweep", trunc_list=trunc_list, ref_trunc=ref.n_trunc, n_levels=n_levels
-    )
+    if not 1 <= n_levels <= 2 * min(sizes):
+        raise ValueError(f"n_levels must be in [1, {2 * min(sizes)}], got {n_levels}")
+    point = partial(_convergence_point, float(delta), meta["g_c"], truncs, ref_trunc, n_levels)
+    meta.update(kind="convergence_sweep", trunc_list=sizes, ref_trunc=ref, n_levels=n_levels)
     return _sweep(CONVERGENCE_COLUMNS, point, list(enumerate(grid.tolist())), workers, meta)
 
 
@@ -451,7 +454,7 @@ def phase_boundary_scan(
     if ratios.ndim != 1 or ratios.size < 2:
         raise ValueError("ratio_grid must contain at least two points")
     eps_par = check_eps_par(eps_par)
-    axes = [_coupling_axis(d, None, ratios) for d in deltas]
+    axes = [_coupling_axis(d, None, ratios, trunc) for d in deltas]
     items = [(axis["delta"], axis["g_c"], grid.tolist()) for grid, axis in axes]
     meta = {
         "kind": "phase_boundary_scan",

@@ -4,11 +4,13 @@ Everything here is deliberately written from scratch against textbook
 formulas: a cyclic Jacobi eigensolver instead of LAPACK, a Kronecker
 assembly of the coupled Hamiltonian in the spin-z product basis instead
 of the interleaved spin-x layout, and plain trapezoid quadrature.  Slow
-is fine; these only run on small problems.  ``shifted_solve`` is the one
-probe of the package itself: its dense solve on H + s*I, which moves no
-eigenvector and no gap, only the scale the solver resolves them against.
+is fine; these only run on small problems.  ``shifted_solve`` and
+``permuted_solve`` probe the package itself: its dense solve on H + s*I,
+which moves no eigenvector and no gap, only the scale the solver resolves
+them against, and on H with its basis listed in another order.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -85,6 +87,22 @@ def shifted_solve(params, trunc, k, shift):
     matrix = build_hamiltonian(params, trunc)
     matrix[np.diag_indices_from(matrix)] += shift
     return eig_sym_dense(matrix, BANDWIDTH, k)
+
+
+def permuted_solve(params, trunc, k, order):
+    """Lowest k eigenpairs of ``build_hamiltonian`` with its basis listed in ``order``.
+
+    The permuted matrix is solved Fortran-ordered on its own bandwidth (1 for
+    the two sector tridiagonals one after the other), and each eigenvector is
+    mapped back to the interleaved basis.
+    """
+    order = np.asarray(order)
+    matrix = np.asfortranarray(build_hamiltonian(params, trunc)[np.ix_(order, order)])
+    rows, cols = np.nonzero(matrix)
+    spectrum = eig_sym_dense(matrix, int(np.abs(rows - cols).max()), k)
+    vectors = np.empty_like(spectrum.eigenvectors)
+    vectors[order] = spectrum.eigenvectors
+    return dataclasses.replace(spectrum, eigenvectors=vectors)
 
 
 def spin_rotation(n_trunc):

@@ -225,8 +225,8 @@ def test_truncation_convergence():
     result = convergence_sweep(
         1.0,
         ratio_grid=grid_values(0.0, 6.0, 0.05),
-        trunc_list=(200, 400, 1000),
-        ref_trunc=2000,
+        trunc_list=(Truncation(200), Truncation(400), Truncation(1000)),
+        ref_trunc=Truncation(2000),
         n_levels=2,
     )
     recs = [dict(zip(result.columns, row)) for row in result.rows]

@@ -627,6 +627,9 @@ def test_phase_diagram_sentinel_failure(tmp_path):
             ["parity", "--delta", "1", "--g", "1e308", "--n-trunc", "10", "--levels", "2"],
             "g=1e+308 overflows g * sqrt(n) at n_trunc=10",
         ),
+        (["converge", "--delta", "1", "--truncs", "40.7"], "--truncs: expected an integer"),
+        (["converge", "--delta", "1", "--ref", "80.9"], "--ref: expected an integer"),
+        (["converge", "--delta", "1", "--ref", "1"], "--ref: n_trunc must be >= 2"),
     ],
     ids=[
         "one_point_grid",
@@ -653,6 +656,9 @@ def test_phase_diagram_sentinel_failure(tmp_path):
         "unallocatable_position_grid",
         "unknown_format",
         "overflowing_coupling",
+        "non_integer_candidate_truncation",
+        "non_integer_reference_truncation",
+        "reference_truncation_below_two",
     ],
 )
 def test_phase_diagram_rejects_unscannable_input_before_writing(tmp_path, capsys, argv, named):

@@ -11,12 +11,13 @@ from rabi_lab.model import (
     Truncation,
     critical_coupling,
     parity_diagonal,
+    sector_rows,
 )
 from rabi_lab import _blas
 from rabi_lab.parity import pair_report, parity_expectation
 from rabi_lab.sweeps import coupling_sweep, grid_values, phase_boundary_scan, solve_point
 
-from oracles import parity_trace, shifted_solve
+from oracles import parity_trace, permuted_solve, shifted_solve
 
 
 def _basis_state(n, s, trunc):
@@ -281,3 +282,36 @@ def test_constant_shift_moves_every_onset_down(threads):
     finally:
         _blas._set_openblas_threads(before)
     assert all(shifted[pair] < plain[pair] for pair in range(4)), (plain, shifted)
+
+
+def test_sector_blocked_basis_order_removes_every_onset():
+    # listing the basis sector by sector is a symmetric permutation of the
+    # same matrix, solved by the same evr in the same dtype on the same
+    # threads; yet no pair turns irregular.  Householder reduction keeps the
+    # two blocks of the blocked order apart, so evr sees a split tridiagonal,
+    # while in the interleaved order its reflectors span both sectors and
+    # rounding mixes each doublet at eps * scale: past the crossing the basis
+    # order, not the model, decides per-state parity.  Every solve passes
+    # the contract, or it raises SolverError
+    trunc = Truncation(200)
+    blocked = np.concatenate((sector_rows(trunc, 1), sector_rows(trunc, -1)))
+    eps = np.finfo(float).eps
+    onsets = {"interleaved": {}, "blocked": {}}
+    for g in grid_values(0, 2.5, 0.01)[99:181] * critical_coupling(50.0):  # g/g_c 0.99-1.80
+        params = ModelParams(50.0, g)
+        spectra = {"interleaved": solve_point(params, trunc, 8)}
+        spectra["blocked"] = permuted_solve(params, trunc, 8, blocked)
+        # two backward-stable solves of one matrix differ by rounding alone:
+        # 1.79 eps * scale at most over this window with OpenBLAS 0.3.31, so
+        # 4 leaves room for another build while a bound at the contract's
+        # residual tolerance (1e-11 * scale) would hide a real disagreement
+        shift = spectra["blocked"].eigenvalues - spectra["interleaved"].eigenvalues
+        assert np.abs(shift).max() <= 4 * eps * spectra["interleaved"].meta.scale
+        for order, spectrum in spectra.items():
+            report = pair_report(spectrum, params, trunc, 0.1)
+            assert max(abs(pair.parity_sum) for pair in report) <= 1e-8
+            for pair in report:
+                if not pair.regular:
+                    onsets[order].setdefault(pair.pair_index, g)
+    assert sorted(onsets["interleaved"]) == [0, 1, 2, 3]
+    assert onsets["blocked"] == {}

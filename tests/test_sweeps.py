@@ -1,7 +1,9 @@
 """Grids, sentinel logic, sweep tables, worker-schedule independence."""
 
 import os
+import re
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -159,6 +161,9 @@ def test_solve_point_builds_each_sector_once(monkeypatch):
 
 
 def test_overflowing_coupling_is_refused_before_any_solve(monkeypatch):
+    # a sweep refuses the lowest overflowing grid point at the cutoff it
+    # solves at (the reference for the convergence sweep) before its first
+    # point, even when the points below it solve fine
     calls = []
     for owner, name in ((scipy.linalg, "eigh"), (eigensolve, "stebz_stein")):
         monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(1))
@@ -167,6 +172,19 @@ def test_overflowing_coupling_is_refused_before_any_solve(monkeypatch):
     for solve in (solve_point, merged_sector_levels):
         with pytest.raises(ValueError, match=message):
             solve(params, tr, 2)
+    grid = [0.5, 1e308, 1.5e308]
+    with pytest.raises(ValueError, match=message):
+        coupling_sweep(1.0, g_grid=grid, n_levels=2, trunc=tr, workers=2)
+    with pytest.raises(ValueError, match=message):
+        convergence_sweep(
+            1.0, g_grid=grid, trunc_list=[Truncation(4)], ref_trunc=tr, n_levels=2, workers=2
+        )
+    ratio, g_c = 1e308, critical_coupling(0.0)
+    with pytest.raises(ValueError, match=rf"^g={re.escape(repr(ratio * g_c))} overflows .*=10$"):
+        phase_boundary_scan([0.0], (0,), ratio_grid=[0.5, ratio], trunc=tr, workers=2)
+    # a ratio whose g itself overflows is not finite, and raises no RuntimeWarning
+    with pytest.raises(ValueError, match="^ratio_grid values must be finite and >= 0$"):
+        coupling_sweep(1.0, ratio_grid=[0.5, 1.5e308], n_levels=2, trunc=tr)
     assert calls == []
 
 
@@ -283,9 +301,10 @@ def test_every_sweep_judges_its_sentinel_with_tail_population(monkeypatch):
     monkeypatch.setattr(sweeps, "tail_population", recording)
     coupling_sweep(2.0, ratio_grid=[0.5], n_levels=2, trunc=Truncation(10), workers=1)
     phase_boundary_scan([2.0], (0,), ratio_grid=[0.1, 0.3], trunc=Truncation(12), workers=1)
-    for trunc_list in ([14, 16], [14, 18]):
+    for sizes in ((14, 16), (14, 18)):
         res = convergence_sweep(
-            2.0, ratio_grid=[0.5], trunc_list=trunc_list, ref_trunc=18, n_levels=4, workers=1
+            2.0, ratio_grid=[0.5], trunc_list=[Truncation(n) for n in sizes],
+            ref_trunc=Truncation(18), n_levels=4, workers=1,
         )
     assert seen == [10, 12, 12, 18, 14, 16, 18, 14]
     assert [row[5] for row in res.rows[4:]] == [0.0] * 4
@@ -330,7 +349,7 @@ def test_coupling_sweep_grid_argument_exclusivity():
         coupling_sweep(1.0, g_grid=[0.1], ratio_grid=[0.1], **sizes)
     with pytest.raises(ValueError):
         coupling_sweep(1.0, ratio_grid=[0.5], n_levels=3, trunc=Truncation(20))
-    convergence_sizes = dict(trunc_list=(20,), ref_trunc=40, n_levels=2)
+    convergence_sizes = dict(trunc_list=(Truncation(20),), ref_trunc=Truncation(40), n_levels=2)
     for sweep, kwargs in ((coupling_sweep, sizes), (convergence_sweep, convergence_sizes)):
         with pytest.raises(ValueError, match="strictly increasing"):
             sweep(1.0, ratio_grid=[0.5, 0.5], **kwargs)
@@ -351,8 +370,8 @@ def test_coupling_sweep_grid_argument_exclusivity():
         (
             # N=24 fails the sentinel at g/g_c = 3, so a failure record crosses the pool
             lambda workers: convergence_sweep(
-                1.0, ratio_grid=[0.3, 3.0], trunc_list=(24, 40), ref_trunc=80, n_levels=2,
-                workers=workers,
+                1.0, ratio_grid=[0.3, 3.0], trunc_list=(Truncation(24), Truncation(40)),
+                ref_trunc=Truncation(80), n_levels=2, workers=workers,
             ),
             2,
             True,
@@ -402,12 +421,23 @@ def test_calling_process_shares_a_mixed_window_without_changing_bytes(monkeypatc
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_sweep_raises_the_lowest_failing_grid_index(workers):
-    # at more than one worker the last point, 1.5e308, can fail first on
-    # another thread; index 1 must still be the one reported
-    with pytest.raises(ValueError, match=r"^g=1e\+308 overflows"):
+def test_sweep_raises_the_lowest_failing_grid_index(monkeypatch, workers):
+    # points 1 and 2 fail mid-sweep; at more than one worker point 2 fails
+    # first on another thread, as point 1 waits before it fails, and
+    # index 1 must still be the one reported
+    solve = sweeps.solve_point
+
+    def failing_past_first_point(params, *args):
+        if params.g == 1.0:
+            time.sleep(0.2)
+        if params.g > 0.5:
+            raise SolverError("residual check failed")
+        return solve(params, *args)
+
+    monkeypatch.setattr(sweeps, "solve_point", failing_past_first_point)
+    with pytest.raises(SolverError, match=r"^grid index 1 \(delta=1\.0, g=1\.0\): residual"):
         coupling_sweep(
-            1.0, g_grid=[0.5, 1e308, 1.5e308], n_levels=2, trunc=Truncation(10), workers=workers
+            1.0, g_grid=[0.5, 1.0, 1.5], n_levels=2, trunc=Truncation(10), workers=workers
         )
 
 
@@ -423,7 +453,8 @@ def test_sweep_raises_the_lowest_failing_grid_index(workers):
         ),
         (
             lambda: convergence_sweep(
-                2.0, g_grid=[0.0, 0.5], trunc_list=(10,), ref_trunc=20, n_levels=2, workers=1
+                2.0, g_grid=[0.0, 0.5], trunc_list=(Truncation(10),), ref_trunc=Truncation(20),
+                n_levels=2, workers=1,
             ),
             "merged_sector_levels",
             0.5,
@@ -467,8 +498,8 @@ def test_convergence_sweep_exact_at_zero_coupling():
     res = convergence_sweep(
         1.0,
         ratio_grid=[0.0, 0.3],
-        trunc_list=(20, 40),
-        ref_trunc=80,
+        trunc_list=(Truncation(20), Truncation(40)),
+        ref_trunc=Truncation(80),
         n_levels=4,
     )
     assert res.columns == CONVERGENCE_COLUMNS
@@ -484,8 +515,8 @@ def test_convergence_sweep_diff_shrinks_with_truncation():
     res = convergence_sweep(
         1.0,
         ratio_grid=[3.0],
-        trunc_list=(24, 30, 40),
-        ref_trunc=400,
+        trunc_list=(Truncation(24), Truncation(30), Truncation(40)),
+        ref_trunc=Truncation(400),
         n_levels=2,
     )
     recs = [dict(zip(res.columns, r)) for r in res.rows]
@@ -499,7 +530,10 @@ def test_convergence_sweep_diff_shrinks_with_truncation():
 
 def test_convergence_sweep_requires_dominant_reference():
     with pytest.raises(ValueError):
-        convergence_sweep(1.0, ratio_grid=[0.5], trunc_list=(100,), ref_trunc=80, n_levels=2)
+        convergence_sweep(
+            1.0, ratio_grid=[0.5], trunc_list=(Truncation(100),), ref_trunc=Truncation(80),
+            n_levels=2,
+        )
 
 
 def test_phase_scan_flags_degenerate_first_point():
@@ -590,27 +624,10 @@ def test_phase_scan_records_the_level_count_it_solves(monkeypatch):
         ),
         (
             lambda: convergence_sweep(
-                1.0, ratio_grid=[0.5], trunc_list=[1, 10], ref_trunc=20, n_levels=2, workers=1
-            ),
-            "trunc_list: n_trunc must be >= 2",
-        ),
-        (
-            lambda: convergence_sweep(
-                1.0, ratio_grid=[0.5], trunc_list=[10], ref_trunc=20, n_levels=30, workers=1
+                1.0, ratio_grid=[0.5], trunc_list=[Truncation(10)], ref_trunc=Truncation(20),
+                n_levels=30, workers=1,
             ),
             "n_levels must be in",
-        ),
-        (
-            lambda: convergence_sweep(
-                1.0, ratio_grid=[0.5], trunc_list=[40.7], ref_trunc=80, n_levels=2, workers=1
-            ),
-            "trunc_list: n_trunc must be an integer",
-        ),
-        (
-            lambda: convergence_sweep(
-                1.0, ratio_grid=[0.5], trunc_list=[40], ref_trunc=80.9, n_levels=2, workers=1
-            ),
-            "ref_trunc: n_trunc must be an integer",
         ),
         (
             lambda: phase_boundary_scan(
@@ -620,7 +637,8 @@ def test_phase_scan_records_the_level_count_it_solves(monkeypatch):
         ),
         (
             lambda: convergence_sweep(
-                1.0, ratio_grid=[0.5], trunc_list=[10], ref_trunc=20, n_levels=2.7, workers=1
+                1.0, ratio_grid=[0.5], trunc_list=[Truncation(10)], ref_trunc=Truncation(20),
+                n_levels=2.7, workers=1,
             ),
             "n_levels must be an integer, got 2.7",
         ),
@@ -651,18 +669,6 @@ def test_phase_scan_records_the_level_count_it_solves(monkeypatch):
             "workers must be an integer, got 2.7",
         ),
         (
-            lambda: convergence_sweep(
-                1.0, ratio_grid=[0.5], trunc_list=[10], ref_trunc=None, n_levels=2, workers=1
-            ),
-            "ref_trunc: n_trunc must be an integer, got None",
-        ),
-        (
-            lambda: convergence_sweep(
-                1.0, ratio_grid=[0.5], trunc_list=[10], ref_trunc="40", n_levels=2, workers=1
-            ),
-            "ref_trunc: n_trunc must be an integer, got '40'",
-        ),
-        (
             lambda: phase_boundary_scan(
                 [1.0], [], ratio_grid=[0.1, 0.2], trunc=Truncation(10), workers=1
             ),
@@ -672,10 +678,7 @@ def test_phase_scan_records_the_level_count_it_solves(monkeypatch):
     ids=[
         "coupling_eps_par",
         "phase_eps_par",
-        "candidate_below_two",
         "levels_beyond_candidate",
-        "non_integer_truncation",
-        "non_integer_reference",
         "non_integer_pair_index",
         "non_integer_convergence_levels",
         "integral_float_coupling_levels",
@@ -683,8 +686,6 @@ def test_phase_scan_records_the_level_count_it_solves(monkeypatch):
         "non_integer_point_levels",
         "non_integer_sector_levels",
         "non_integer_workers",
-        "missing_reference",
-        "string_reference",
         "no_pairs",
     ],
 )
