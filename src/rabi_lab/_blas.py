@@ -35,11 +35,18 @@ def _mapped_openblas() -> dict:
         return {}
 
 
-def _numpy_openblas() -> Optional[str]:
-    """Path of numpy's own mapped OpenBLAS; None unless exactly one is found."""
-    root = os.path.dirname(os.path.realpath(np.__file__))
+def _package_openblas(package) -> Optional[str]:
+    """Path of the mapped OpenBLAS a package ships (``numpy.libs``); None unless exactly one."""
+    root = os.path.dirname(os.path.realpath(package.__file__))
     own = [path for path in _mapped_openblas() if path.startswith((root + "/", root + ".libs/"))]
     return own[0] if len(own) == 1 else None
+
+
+def lapack_threads() -> int:
+    """Thread count of scipy's own OpenBLAS, which runs its LAPACK; 1 when it cannot tell."""
+    path = _package_openblas(scipy)
+    count = _openblas_call(_mapped_openblas()[path], "get_num_threads") if path else None
+    return max(count or 1, 1)
 
 
 def _set_openblas_threads(counts: dict) -> dict:
@@ -53,7 +60,7 @@ def _set_openblas_threads(counts: dict) -> dict:
 
 def _blas_environment() -> dict:
     """Versions, and each mapped OpenBLAS's config, threads now and whether a job pins it."""
-    own = _numpy_openblas()
+    own = _package_openblas(np)
     libs = [
         {"file": os.path.basename(path), "threads": _openblas_call(lib, "get_num_threads"),
          "config": (_openblas_call(lib, "get_config", restype=ctypes.c_char_p) or b"").decode(),

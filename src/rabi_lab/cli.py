@@ -42,8 +42,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from . import __version__
-from ._blas import _blas_environment, _numpy_openblas, _set_openblas_threads
+from ._blas import _blas_environment, _package_openblas, _set_openblas_threads
 from .eigensolve import DEGENERACY_RTOL, NORM_TOL, ORTHO_TOL, RESIDUAL_RTOL, SolverError
 from .io import write_manifest, write_table
 from .model import ModelParams, Truncation, shifted_energy
@@ -171,7 +173,7 @@ _OPTIONS = {
                "half-width of the position grid (default: fits the coupling)"),
     "xi_step": (_parse_float, ("step", float), DEFAULT_STEP, "position grid step"),
     "workers": (_parse_int, ("workers", int), None,
-                "thread count for grid points (0 = cpu count)"),
+                "threads for grid points (0 = the CPUs this process may run on)"),
     "out": (_parse_str, None, None, "output directory for tables and manifest"),
     "format": (_parse_str, None, "csv", "table format: csv or json"),
 }
@@ -422,7 +424,7 @@ def main(argv: Optional[list] = None) -> int:
         return EXIT_CONFIG
     except SystemExit as exc:
         return int(exc.code or 0)
-    before = _set_openblas_threads({_numpy_openblas(): 1})  # restored on every return path
+    before = _set_openblas_threads({_package_openblas(np): 1})  # restored on every return path
     try:
         return run_job(cfg)
     except SolverError as exc:  # a sweep's names the grid point that failed

@@ -3,15 +3,21 @@
 Every sweep binds its shared inputs once with ``functools.partial`` and
 maps that point function over one item per grid point, ``(index, g)``, or
 per delta for the phase scan, ``(delta, g_c, grid)``.  The ``workers``
-argument alone sets the thread count (0 means the CPU count, default 1),
-at most one per item, and meta ``workers`` records it.  The threads are
-this process's, so every point runs LAPACK at this process's OpenBLAS
-thread counts, and results merge back in grid order, identical for any
-worker count.  Tridiagonal solves release the GIL and run side by side;
-dense solves (``scipy.linalg.eigh``) hold it and run one at a time.
-Bound inputs are data only: a point looks the solve, sentinel and parity
-functions up as module globals when it runs, so a wrapper installed on
-this module (the benchmark tracer, ``perfbench/tracing.py``) sees every call.
+argument sets the point threads (0 means the CPUs this process may run
+on, default 1), at most one per item, and meta ``workers`` records it.
+A convergence point also solves its truncations side by side on
+``max(1, L // workers)`` threads, where L is the thread count of scipy's
+OpenBLAS (1 when it cannot be read), and meta ``solve_threads`` records
+that budget.  This module is the only one that starts threads.  The
+threads are this process's, so every solve runs LAPACK at this process's
+OpenBLAS thread counts, and results merge back in grid and truncation
+order, identical for any thread count.  Tridiagonal solves release the
+GIL and run side by side; dense solves (``scipy.linalg.eigh``) hold it
+and run one at a time.  Bound inputs are data, plus the convergence
+point's map over its solve threads: a point looks the solve, sentinel
+and parity functions up as module globals when it runs, so a wrapper
+installed on this module (the benchmark tracer, ``perfbench/tracing.py``)
+sees every call.
 
 Each point is guarded by a truncation sentinel: the summed photon
 population of every retained state from photon index ceil(0.9 * n_trunc)
@@ -38,12 +44,14 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
+from ._blas import lapack_threads
 from .eigensolve import SolverError, Spectrum, _tie_order, eig_sym_dense, eig_sym_tridiag
 from .model import (
     BANDWIDTH,
@@ -165,20 +173,26 @@ def solve_point(params: ModelParams, trunc: Truncation, n_levels: int) -> Spectr
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
-    """Thread count from the request alone: None gives 1, 0 the CPU count."""
+    """Thread count from the request alone: None gives 1, 0 the CPUs this process may run on."""
     if workers is None:
         return 1
     workers = _integer("workers", workers)
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
-    return workers or os.cpu_count() or 1
+    if workers:
+        return workers
+    if hasattr(os, "sched_getaffinity"):  # Linux; elsewhere every CPU counts
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _sweep(columns: tuple, point, items: list, workers: Optional[int], meta: dict) -> SweepResult:
-    """Map the point over the items on ``workers`` threads and join the results in grid order.
+    """Map the point over the items on ``workers`` point threads, results joined in grid order.
 
-    ``Executor.map`` yields in item order, so a failure raises at the
-    lowest failing index, and the items not yet started are cancelled.
+    ``workers`` sets only the point threads; a convergence point's solve
+    threads come from ``convergence_sweep``.  ``Executor.map`` yields in
+    item order, so a failure raises at the lowest failing index, and the
+    items not yet started are cancelled.
     """
     t0 = time.perf_counter()
     workers = min(resolve_workers(workers), len(items))
@@ -330,14 +344,18 @@ def merged_sector_levels(
 
 
 def _convergence_point(
-    delta: float, g_c: float, truncs: list, ref: Truncation, n_levels: int, item: tuple
+    delta: float, g_c: float, truncs: list, ref: Truncation, n_levels: int, solve_map,
+    item: tuple,
 ) -> tuple[list[tuple], Optional[dict]]:
     index, g = item
     params = ModelParams(delta, g)
+    order = list(dict.fromkeys((ref, *truncs)))  # reference first; a repeated N solves once
+    solved = solve_map(
+        lambda tr: _solve_at(index, delta, g, merged_sector_levels, params, tr, n_levels), order
+    )  # yields in order, so the first failing truncation raises
     energies, ok = {}, {}
-    for tr in dict.fromkeys((ref, *truncs)):  # reference first; a repeated N solves once
-        energies[tr], tail = _solve_at(index, delta, g, merged_sector_levels, params, tr, n_levels)
-        ok[tr] = tail < SENTINEL_THRESHOLD
+    for tr, (levels, tail) in zip(order, solved):
+        energies[tr], ok[tr] = levels, tail < SENTINEL_THRESHOLD
     rows = [
         (
             g,
@@ -369,7 +387,10 @@ def convergence_sweep(
 
     All energies come from the merged parity-sector path, so the study
     isolates the Fock cutoff and every truncation goes through the same
-    solver.  The reference must not be smaller than any candidate.
+    solver.  The reference must not be smaller than any candidate.  Each
+    point maps its truncations, reference first, over one pool of
+    ``solve_threads`` threads shared by the whole sweep, or solves them
+    in turn on its own thread when the budget is 1.
     """
     grid, meta = _coupling_axis(delta, g_grid, ratio_grid, ref_trunc)
     truncs = list(trunc_list)
@@ -382,9 +403,14 @@ def convergence_sweep(
     n_levels = _integer("n_levels", n_levels)
     if not 1 <= n_levels <= 2 * min(sizes):
         raise ValueError(f"n_levels must be in [1, {2 * min(sizes)}], got {n_levels}")
-    point = partial(_convergence_point, float(delta), meta["g_c"], truncs, ref_trunc, n_levels)
-    meta.update(kind="convergence_sweep", trunc_list=sizes, ref_trunc=ref, n_levels=n_levels)
-    return _sweep(CONVERGENCE_COLUMNS, point, list(enumerate(grid.tolist())), workers, meta)
+    workers = min(resolve_workers(workers), len(grid))
+    solve_threads = max(1, lapack_threads() // workers)
+    meta.update(kind="convergence_sweep", trunc_list=sizes, ref_trunc=ref, n_levels=n_levels,
+                solve_threads=solve_threads)
+    with ThreadPoolExecutor(solve_threads) if solve_threads > 1 else nullcontext() as pool:
+        point = partial(_convergence_point, float(delta), meta["g_c"], truncs, ref_trunc,
+                        n_levels, pool.map if pool else map)
+        return _sweep(CONVERGENCE_COLUMNS, point, list(enumerate(grid.tolist())), workers, meta)
 
 
 def _phase_point(

@@ -1,12 +1,15 @@
 """One setter holds numpy's own OpenBLAS at one thread for a CLI job and
 restores every count after it; a sweep's points run on the caller's threads
-at the caller's counts, so a sweep's bytes do not depend on its workers."""
+at the caller's counts, so a sweep's bytes do not depend on its workers, nor
+a convergence sweep's on the solve threads scipy's OpenBLAS count gives it."""
 
 import json
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 import rabi_lab.cli as cli
 from rabi_lab import _blas, sweeps
@@ -35,7 +38,7 @@ def blas():
 @pytest.fixture
 def numpy_blas(blas):
     """Path of numpy's own OpenBLAS; skip without a separate one."""
-    own = _blas._numpy_openblas()
+    own = _blas._package_openblas(np)
     if own is None:
         pytest.skip("no OpenBLAS file of numpy's own is mapped apart from scipy's")
     return own
@@ -123,7 +126,7 @@ def test_sweep_bytes_do_not_depend_on_workers_after_a_runtime_lapack_setting(bla
     # scipy's OpenBLAS set in-process, as threadpoolctl would: a point that
     # ran at the environment's count instead wrote different rows at g/g_c
     # 1.40 and 1.41
-    own = _blas._numpy_openblas()
+    own = _blas._package_openblas(np)
     others = {path: 1 for path in blas if path != own}
     if not others:
         pytest.skip("no OpenBLAS apart from numpy's is mapped")
@@ -146,3 +149,49 @@ def test_job_runs_unpinned_without_a_numpy_openblas(tmp_path, monkeypatch):
     assert environment["openblas"] == []
     assert environment["pin"].startswith("nothing pinned")
     assert {"numpy", "scipy"} <= environment.keys()
+
+
+# every truncation passes on the first grid; N=24 fails the sentinel at g/g_c = 3
+CONVERGENCE_GRIDS = {
+    "passing": dict(ratio_grid=[0.0, 0.3, 0.6, 0.9], trunc_list=(Truncation(30), Truncation(40)),
+                    ref_trunc=Truncation(80), n_levels=4),
+    "sentinel": dict(ratio_grid=[0.3, 3.0], trunc_list=(Truncation(24), Truncation(40)),
+                     ref_trunc=Truncation(40), n_levels=2),
+}
+
+
+@pytest.mark.parametrize("grid", CONVERGENCE_GRIDS.values(), ids=CONVERGENCE_GRIDS)
+def test_convergence_bytes_do_not_depend_on_solve_threads(blas, monkeypatch, grid):
+    # scipy's OpenBLAS count over the point threads is a convergence point's
+    # solve-thread budget: at count 2 and one point thread, the first two
+    # solves must meet at a barrier, so they run side by side on two threads;
+    # at count 1 every solve runs on the calling thread; at count 4 and two
+    # point threads, both points share one pool of two solve threads
+    lapack = _blas._package_openblas(scipy)
+    if lapack is None:
+        pytest.skip("no OpenBLAS file of scipy's own is mapped")
+    solve, threads, barrier = sweeps.merged_sector_levels, [], []
+
+    def recording(*args):
+        threads.append(threading.get_ident())
+        if barrier and len(threads) <= 2:
+            barrier[0].wait()
+        return solve(*args)
+
+    monkeypatch.setattr(sweeps, "merged_sector_levels", recording)
+    runs = {}
+    for count in (1, 2, 4):
+        _blas._set_openblas_threads({lapack: count})
+        for workers in (1, 2, 8):
+            threads.clear()
+            barrier[:] = [threading.Barrier(2, timeout=10)] if (count, workers) == (2, 1) else []
+            result = sweeps.convergence_sweep(1.0, **grid, workers=workers)
+            if (count, workers) == (1, 1):
+                assert set(threads) == {threading.get_ident()}
+            if (count, workers) == (2, 1):
+                assert len(set(threads)) == 2 and threading.get_ident() not in threads
+            assert result.meta["solve_threads"] == max(1, count // result.meta["workers"])
+            runs[count, workers] = (render_table(result.columns, result.rows),
+                                    result.meta["sentinel_failures"])
+    assert all(run == runs[1, 1] for run in runs.values())
+    assert bool(runs[1, 1][1]) == (grid is CONVERGENCE_GRIDS["sentinel"])

@@ -72,8 +72,9 @@ def test_every_export_has_a_caller_in_src():
 
 
 def test_src_reads_no_environment():
-    # a sweep's output and its thread count come from its arguments alone,
-    # so no module reads os.environ, os.environb or os.getenv
+    # a sweep's output comes from its arguments alone, and its thread counts
+    # from its arguments and scipy's OpenBLAS count as the process set it, so
+    # no module reads os.environ, os.environb or os.getenv
     reads = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))
@@ -122,5 +123,19 @@ def test_only_blas_reaches_openblas():
         or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ctypes")
         or (isinstance(node, ast.Constant) and isinstance(node.value, str)
             and "/proc/self/maps" in node.value)
+    ]
+    assert refs == []
+
+
+def test_only_sweeps_starts_threads():
+    # one rule splits the thread budget between points and solves: no module
+    # but sweeps.py names ThreadPoolExecutor or threading.Thread, by
+    # attribute, name or import
+    refs = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "sweeps.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if {"ThreadPoolExecutor", "Thread"} & set(_names(node))
     ]
     assert refs == []

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from rabi_lab import eigensolve, model, sweeps
+from rabi_lab import _blas, eigensolve, model, sweeps
 from rabi_lab.io import render_table
 from rabi_lab.eigensolve import DEGENERACY_RTOL, SolverError, eig_sym_tridiag
 from rabi_lab.model import (
@@ -290,7 +290,9 @@ def test_merge_solves_once_for_one_level_more(monkeypatch, n_levels, k):
 def test_every_sweep_judges_its_sentinel_with_tail_population(monkeypatch):
     # the dense and the sector paths share one sentinel: every solve of every
     # sweep goes through sweeps.tail_population, the convergence reference
-    # first, and a reference that is also a candidate is solved once
+    # first, and a reference that is also a candidate is solved once; at two
+    # scipy-OpenBLAS threads a point's truncations run side by side, so there
+    # each point solves each truncation once, in any order
     seen = []
     tail = sweeps.tail_population
 
@@ -299,15 +301,29 @@ def test_every_sweep_judges_its_sentinel_with_tail_population(monkeypatch):
         return tail(vectors, trunc)
 
     monkeypatch.setattr(sweeps, "tail_population", recording)
-    coupling_sweep(2.0, ratio_grid=[0.5], n_levels=2, trunc=Truncation(10), workers=1)
-    phase_boundary_scan([2.0], (0,), ratio_grid=[0.1, 0.3], trunc=Truncation(12), workers=1)
-    for sizes in ((14, 16), (14, 18)):
-        res = convergence_sweep(
-            2.0, ratio_grid=[0.5], trunc_list=[Truncation(n) for n in sizes],
-            ref_trunc=Truncation(18), n_levels=4, workers=1,
-        )
-    assert seen == [10, 12, 12, 18, 14, 16, 18, 14]
-    assert [row[5] for row in res.rows[4:]] == [0.0] * 4
+    lapack = _blas._package_openblas(scipy)
+    before = _blas._set_openblas_threads({})
+    try:
+        for count in (1, 2) if lapack else (1,):
+            _blas._set_openblas_threads({lapack: count})
+            seen.clear()
+            coupling_sweep(2.0, ratio_grid=[0.5], n_levels=2, trunc=Truncation(10), workers=1)
+            phase_boundary_scan([2.0], (0,), ratio_grid=[0.1, 0.3], trunc=Truncation(12),
+                                workers=1)
+            for sizes in ((14, 16), (14, 18)):
+                res = convergence_sweep(
+                    2.0, ratio_grid=[0.5], trunc_list=[Truncation(n) for n in sizes],
+                    ref_trunc=Truncation(18), n_levels=4, workers=1,
+                )
+                assert res.meta["solve_threads"] == count
+            if count == 1:
+                assert seen == [10, 12, 12, 18, 14, 16, 18, 14]
+            else:
+                assert seen[:3] == [10, 12, 12]
+                assert sorted(seen[3:6]) == [14, 16, 18] and sorted(seen[6:]) == [14, 18]
+            assert [row[5] for row in res.rows[4:]] == [0.0] * 4
+    finally:
+        _blas._set_openblas_threads(before)
 
 
 def test_merge_orders_cross_sector_ties_by_full_basis_index():
@@ -708,9 +724,22 @@ def test_resolve_workers(monkeypatch):
     monkeypatch.setenv("RABI_LAB_THREADS", "1")
     assert resolve_workers(4) == 4
     assert resolve_workers(None) == 1
-    assert resolve_workers(0) == (os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert resolve_workers(0) == cpus
     for bad, message in ((-1, "workers must be >= 0"), (2.7, "workers must be an integer"),
                          (2.0, "workers must be an integer"),
                          (True, "workers must be an integer, got True$")):
         with pytest.raises(ValueError, match=message):
             resolve_workers(bad)
+
+
+def test_zero_workers_count_the_cpus_this_process_may_run_on(monkeypatch):
+    # under `taskset -c 0` on two CPUs, os.cpu_count() is 2 but the affinity
+    # set holds one CPU; without an affinity call every CPU counts
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert resolve_workers(0) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert resolve_workers(0) == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert resolve_workers(0) == 1
