@@ -173,7 +173,8 @@ _OPTIONS = {
                "half-width of the position grid (default: fits the coupling)"),
     "xi_step": (_parse_float, ("step", float), DEFAULT_STEP, "position grid step"),
     "workers": (_parse_int, ("workers", int), None,
-                "threads for grid points (0 = the CPUs this process may run on)"),
+                "threads for grid points (0 = the CPUs this process may run on); "
+                "converge runs on at least scipy's OpenBLAS thread count"),
     "out": (_parse_str, None, None, "output directory for tables and manifest"),
     "format": (_parse_str, None, "csv", "table format: csv or json"),
 }

@@ -4,18 +4,16 @@ Every sweep binds its shared inputs once with ``functools.partial`` and
 maps that point function over one item per grid point, ``(index, g)``, or
 per delta for the phase scan, ``(delta, g_c, grid)``.  The ``workers``
 argument sets the point threads (0 means the CPUs this process may run
-on, default 1), at most one per item, and meta ``workers`` records it.
-A convergence point also solves its truncations side by side on
-``max(1, L // workers)`` threads, where L is the thread count of scipy's
-OpenBLAS (1 when it cannot be read), and meta ``solve_threads`` records
-that budget.  This module is the only one that starts threads.  The
+on, default 1), and the convergence sweep runs on at least the thread
+count of scipy's OpenBLAS (1 when it cannot be read); every sweep runs
+at most one thread per item, and meta ``workers`` records the threads
+that ran.  ``_sweep`` starts the one thread pool of this package.  The
 threads are this process's, so every solve runs LAPACK at this process's
-OpenBLAS thread counts, and results merge back in grid and truncation
-order, identical for any thread count.  Tridiagonal solves release the
-GIL and run side by side; dense solves (``scipy.linalg.eigh``) hold it
-and run one at a time.  Bound inputs are data, plus the convergence
-point's map over its solve threads: a point looks the solve, sentinel
-and parity functions up as module globals when it runs, so a wrapper
+OpenBLAS thread counts, and results merge back in grid order, identical
+for any thread count.  Tridiagonal solves release the GIL and run side
+by side; dense solves (``scipy.linalg.eigh``) hold it and run one at a
+time.  Bound inputs are data only: a point looks the solve, sentinel and
+parity functions up as module globals when it runs, so a wrapper
 installed on this module (the benchmark tracer, ``perfbench/tracing.py``)
 sees every call.
 
@@ -44,7 +42,6 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
@@ -187,12 +184,11 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 
 
 def _sweep(columns: tuple, point, items: list, workers: Optional[int], meta: dict) -> SweepResult:
-    """Map the point over the items on ``workers`` point threads, results joined in grid order.
+    """Map the point over the items on ``workers`` threads and join the results in grid order.
 
-    ``workers`` sets only the point threads; a convergence point's solve
-    threads come from ``convergence_sweep``.  ``Executor.map`` yields in
-    item order, so a failure raises at the lowest failing index, and the
-    items not yet started are cancelled.
+    This is the package's one thread pool, at most one thread per item.
+    ``Executor.map`` yields in item order, so a failure raises at the
+    lowest failing index, and the items not yet started are cancelled.
     """
     t0 = time.perf_counter()
     workers = min(resolve_workers(workers), len(items))
@@ -209,6 +205,13 @@ def _sweep(columns: tuple, point, items: list, workers: Optional[int], meta: dic
     return SweepResult(
         columns=columns, rows=[row for rows, _ in results for row in rows], meta=meta
     )
+
+
+def _truncation(name: str, value) -> Truncation:
+    """A cutoff as given; anything but a ``Truncation``, such as 200, raises ValueError naming it."""
+    if not isinstance(value, Truncation):
+        raise ValueError(f"{name} must be a Truncation, got {value!r}")
+    return value
 
 
 def _solve_at(index: int, delta: float, g: float, solve, *args):
@@ -309,6 +312,7 @@ def coupling_sweep(
     selects the axis.  Emits two rows per pair and point in the pinned
     parity table layout.
     """
+    trunc = _truncation("trunc", trunc)
     grid, meta = _coupling_axis(delta, g_grid, ratio_grid, trunc)
     n_levels = _integer("n_levels", n_levels)
     if n_levels % 2 or not 2 <= n_levels <= trunc.dim:
@@ -344,18 +348,14 @@ def merged_sector_levels(
 
 
 def _convergence_point(
-    delta: float, g_c: float, truncs: list, ref: Truncation, n_levels: int, solve_map,
-    item: tuple,
+    delta: float, g_c: float, truncs: list, ref: Truncation, n_levels: int, item: tuple
 ) -> tuple[list[tuple], Optional[dict]]:
     index, g = item
     params = ModelParams(delta, g)
-    order = list(dict.fromkeys((ref, *truncs)))  # reference first; a repeated N solves once
-    solved = solve_map(
-        lambda tr: _solve_at(index, delta, g, merged_sector_levels, params, tr, n_levels), order
-    )  # yields in order, so the first failing truncation raises
     energies, ok = {}, {}
-    for tr, (levels, tail) in zip(order, solved):
-        energies[tr], ok[tr] = levels, tail < SENTINEL_THRESHOLD
+    for tr in dict.fromkeys((ref, *truncs)):  # reference first; a repeated N solves once
+        energies[tr], tail = _solve_at(index, delta, g, merged_sector_levels, params, tr, n_levels)
+        ok[tr] = tail < SENTINEL_THRESHOLD
     rows = [
         (
             g,
@@ -388,12 +388,13 @@ def convergence_sweep(
     All energies come from the merged parity-sector path, so the study
     isolates the Fock cutoff and every truncation goes through the same
     solver.  The reference must not be smaller than any candidate.  Each
-    point maps its truncations, reference first, over one pool of
-    ``solve_threads`` threads shared by the whole sweep, or solves them
-    in turn on its own thread when the budget is 1.
+    point solves its truncations in turn, reference first, and the points
+    run on ``workers`` threads but no fewer than scipy's OpenBLAS has: the
+    tridiagonal solves are single-threaded and release the GIL.
     """
+    ref_trunc = _truncation("ref_trunc", ref_trunc)
+    truncs = [_truncation("trunc_list", trunc) for trunc in trunc_list]
     grid, meta = _coupling_axis(delta, g_grid, ratio_grid, ref_trunc)
-    truncs = list(trunc_list)
     sizes = [trunc.n_trunc for trunc in truncs]
     if not sizes:
         raise ValueError("trunc_list must not be empty")
@@ -403,14 +404,10 @@ def convergence_sweep(
     n_levels = _integer("n_levels", n_levels)
     if not 1 <= n_levels <= 2 * min(sizes):
         raise ValueError(f"n_levels must be in [1, {2 * min(sizes)}], got {n_levels}")
-    workers = min(resolve_workers(workers), len(grid))
-    solve_threads = max(1, lapack_threads() // workers)
-    meta.update(kind="convergence_sweep", trunc_list=sizes, ref_trunc=ref, n_levels=n_levels,
-                solve_threads=solve_threads)
-    with ThreadPoolExecutor(solve_threads) if solve_threads > 1 else nullcontext() as pool:
-        point = partial(_convergence_point, float(delta), meta["g_c"], truncs, ref_trunc,
-                        n_levels, pool.map if pool else map)
-        return _sweep(CONVERGENCE_COLUMNS, point, list(enumerate(grid.tolist())), workers, meta)
+    workers = max(resolve_workers(workers), lapack_threads())
+    point = partial(_convergence_point, float(delta), meta["g_c"], truncs, ref_trunc, n_levels)
+    meta.update(kind="convergence_sweep", trunc_list=sizes, ref_trunc=ref, n_levels=n_levels)
+    return _sweep(CONVERGENCE_COLUMNS, point, list(enumerate(grid.tolist())), workers, meta)
 
 
 def _phase_point(
@@ -458,6 +455,7 @@ def phase_boundary_scan(
     that fail the sentinel are listed per delta in the metadata, beside
     ``n_levels`` (2 * max(pair) + 2), the level count an onset depends on.
     """
+    trunc = _truncation("trunc", trunc)
     deltas = [float(d) for d in delta_grid]
     if not deltas:
         raise ValueError("delta_grid must not be empty")

@@ -1,7 +1,7 @@
 """One setter holds numpy's own OpenBLAS at one thread for a CLI job and
 restores every count after it; a sweep's points run on the caller's threads
 at the caller's counts, so a sweep's bytes do not depend on its workers, nor
-a convergence sweep's on the solve threads scipy's OpenBLAS count gives it."""
+a convergence sweep's on the threads scipy's OpenBLAS count adds to them."""
 
 import json
 import threading
@@ -161,22 +161,23 @@ CONVERGENCE_GRIDS = {
 
 
 @pytest.mark.parametrize("grid", CONVERGENCE_GRIDS.values(), ids=CONVERGENCE_GRIDS)
-def test_convergence_bytes_do_not_depend_on_solve_threads(blas, monkeypatch, grid):
-    # scipy's OpenBLAS count over the point threads is a convergence point's
-    # solve-thread budget: at count 2 and one point thread, the first two
-    # solves must meet at a barrier, so they run side by side on two threads;
-    # at count 1 every solve runs on the calling thread; at count 4 and two
-    # point threads, both points share one pool of two solve threads
+def test_convergence_bytes_do_not_depend_on_lapack_threads(blas, monkeypatch, grid):
+    # a convergence sweep runs its points on at least scipy's OpenBLAS count
+    # of threads: at count 2 and one worker, the first two solves (the
+    # references of points 0 and 1) must meet at a barrier, so they run side
+    # by side on two pool threads; at count 1 and one worker every solve runs
+    # on the calling thread
     lapack = _blas._package_openblas(scipy)
     if lapack is None:
         pytest.skip("no OpenBLAS file of scipy's own is mapped")
-    solve, threads, barrier = sweeps.merged_sector_levels, [], []
+    solve, threads, solved, barrier = sweeps.merged_sector_levels, [], [], []
 
-    def recording(*args):
+    def recording(params, trunc, n_levels):
         threads.append(threading.get_ident())
+        solved.append((params.g, trunc.n_trunc))
         if barrier and len(threads) <= 2:
             barrier[0].wait()
-        return solve(*args)
+        return solve(params, trunc, n_levels)
 
     monkeypatch.setattr(sweeps, "merged_sector_levels", recording)
     runs = {}
@@ -184,13 +185,16 @@ def test_convergence_bytes_do_not_depend_on_solve_threads(blas, monkeypatch, gri
         _blas._set_openblas_threads({lapack: count})
         for workers in (1, 2, 8):
             threads.clear()
+            solved.clear()
             barrier[:] = [threading.Barrier(2, timeout=10)] if (count, workers) == (2, 1) else []
             result = sweeps.convergence_sweep(1.0, **grid, workers=workers)
             if (count, workers) == (1, 1):
                 assert set(threads) == {threading.get_ident()}
             if (count, workers) == (2, 1):
                 assert len(set(threads)) == 2 and threading.get_ident() not in threads
-            assert result.meta["solve_threads"] == max(1, count // result.meta["workers"])
+                (g0, n0), (g1, n1) = solved[:2]
+                assert g0 != g1 and n0 == n1 == grid["ref_trunc"].n_trunc
+            assert result.meta["workers"] == min(max(workers, count), len(grid["ratio_grid"]))
             runs[count, workers] = (render_table(result.columns, result.rows),
                                     result.meta["sentinel_failures"])
     assert all(run == runs[1, 1] for run in runs.values())

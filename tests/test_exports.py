@@ -128,14 +128,20 @@ def test_only_blas_reaches_openblas():
 
 
 def test_only_sweeps_starts_threads():
-    # one rule splits the thread budget between points and solves: no module
-    # but sweeps.py names ThreadPoolExecutor or threading.Thread, by
-    # attribute, name or import
-    refs = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.glob("*.py"))
-        if path.name != "sweeps.py"
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if {"ThreadPoolExecutor", "Thread"} & set(_names(node))
-    ]
+    # one thread pool per sweep, whatever sets its size: no module but
+    # sweeps.py names ThreadPoolExecutor or threading.Thread, by attribute,
+    # name or import, and src/ calls ThreadPoolExecutor(...) once, in _sweep
+    refs, calls = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}  # node -> innermost enclosing function; ast.walk visits outer ones first
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), function.name) for node in ast.walk(function))
+        for node in ast.walk(tree):
+            if path.name != "sweeps.py" and {"ThreadPoolExecutor", "Thread"} & set(_names(node)):
+                refs.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Call) and "ThreadPoolExecutor" in _names(node.func):
+                calls.append(f"{path.stem}.{owner.get(id(node), '<module>')}")
     assert refs == []
+    assert calls == ["sweeps._sweep"]

@@ -290,9 +290,9 @@ def test_merge_solves_once_for_one_level_more(monkeypatch, n_levels, k):
 def test_every_sweep_judges_its_sentinel_with_tail_population(monkeypatch):
     # the dense and the sector paths share one sentinel: every solve of every
     # sweep goes through sweeps.tail_population, the convergence reference
-    # first, and a reference that is also a candidate is solved once; at two
-    # scipy-OpenBLAS threads a point's truncations run side by side, so there
-    # each point solves each truncation once, in any order
+    # first, and a reference that is also a candidate is solved once; a
+    # one-point convergence sweep runs on one thread at any scipy-OpenBLAS
+    # count, so the order is exact at both counts
     seen = []
     tail = sweeps.tail_population
 
@@ -315,12 +315,8 @@ def test_every_sweep_judges_its_sentinel_with_tail_population(monkeypatch):
                     2.0, ratio_grid=[0.5], trunc_list=[Truncation(n) for n in sizes],
                     ref_trunc=Truncation(18), n_levels=4, workers=1,
                 )
-                assert res.meta["solve_threads"] == count
-            if count == 1:
-                assert seen == [10, 12, 12, 18, 14, 16, 18, 14]
-            else:
-                assert seen[:3] == [10, 12, 12]
-                assert sorted(seen[3:6]) == [14, 16, 18] and sorted(seen[6:]) == [14, 18]
+                assert res.meta["workers"] == 1
+            assert seen == [10, 12, 12, 18, 14, 16, 18, 14]
             assert [row[5] for row in res.rows[4:]] == [0.0] * 4
     finally:
         _blas._set_openblas_threads(before)
@@ -404,9 +400,12 @@ def test_coupling_sweep_grid_argument_exclusivity():
     ids=["coupling", "convergence", "phase"],
 )
 def test_sweep_worker_count_does_not_change_bytes(sweep, items, failing):
-    # a request for more threads than items runs, and records, one per item
+    # a request for more threads than items runs, and records, one per item;
+    # a convergence sweep runs on no fewer threads than scipy's OpenBLAS has
     seq, *others = sweep(1), sweep(2), sweep(4), sweep(8)
-    assert [res.meta["workers"] for res in (seq, *others)] == [1, 2, items, items]
+    floor = _blas.lapack_threads() if seq.meta["kind"] == "convergence_sweep" else 1
+    expected = [min(max(workers, floor), items) for workers in (1, 2, 4, 8)]
+    assert [res.meta["workers"] for res in (seq, *others)] == expected
     for res in others:
         assert repr(seq.rows) == repr(res.rows)  # a nan cell never compares equal, its repr does
         assert render_table(seq.columns, seq.rows) == render_table(res.columns, res.rows)
@@ -690,6 +689,30 @@ def test_phase_scan_records_the_level_count_it_solves(monkeypatch):
             ),
             "pair_indices must not be empty$",
         ),
+        (
+            lambda: coupling_sweep(2.0, ratio_grid=[0.5], n_levels=2, trunc=200, workers=1),
+            "trunc must be a Truncation, got 200$",
+        ),
+        (
+            lambda: convergence_sweep(
+                1.0, ratio_grid=[0.5], trunc_list=[200], ref_trunc=Truncation(400), n_levels=2,
+                workers=1,
+            ),
+            "trunc_list must be a Truncation, got 200$",
+        ),
+        (
+            lambda: convergence_sweep(
+                1.0, ratio_grid=[0.5], trunc_list=[Truncation(200)], ref_trunc=400, n_levels=2,
+                workers=1,
+            ),
+            "ref_trunc must be a Truncation, got 400$",
+        ),
+        (
+            lambda: phase_boundary_scan(
+                [1.0], (0,), ratio_grid=[0.1, 0.2], trunc=200, workers=1
+            ),
+            "trunc must be a Truncation, got 200$",
+        ),
     ],
     ids=[
         "coupling_eps_par",
@@ -703,6 +726,10 @@ def test_phase_scan_records_the_level_count_it_solves(monkeypatch):
         "non_integer_sector_levels",
         "non_integer_workers",
         "no_pairs",
+        "int_coupling_trunc",
+        "int_candidate_trunc",
+        "int_reference_trunc",
+        "int_phase_trunc",
     ],
 )
 def test_bad_sweep_arguments_solve_nothing(monkeypatch, sweep, message):
