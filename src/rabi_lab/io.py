@@ -9,9 +9,10 @@ reproducibility check and is used as one.
 One cell-type rule, ``_cell_spec``, serves both formats: ``%d`` for bool
 and integer cells, ``%.17g`` for floats (the same text as
 ``format(float(x), ".17g")``, nan, inf and -0 included) and ``%s`` for
-strings; any other cell raises TypeError.  CSV rows are rendered with one
-format template per row type, built once per table from the tuple of cell
-types; JSON cells are ints, floats (NaN as null) and strings by that rule.
+strings; any other cell raises TypeError.  Rows are read once, from any
+iterable, and each run of consecutive rows with one tuple of cell types is
+rendered in one step: by one CSV template repeated over the run's cells, or
+by one JSON converter per column (ints, floats with NaN as null, strings).
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from itertools import chain, groupby
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -45,40 +47,31 @@ def _cell_spec(cls: type) -> str:
     raise TypeError(f"unsupported cell type {cls.__name__}")
 
 
-def render_table(columns: Sequence[str], rows: Sequence[Sequence], fmt: str = "csv") -> bytes:
+# per-cell JSON values by _cell_spec; JSON has no NaN literal, so NaN becomes null
+_JSON_CELL = {"%d": int, "%.17g": lambda f: None if f != f else float(f), "%s": lambda s: s}
+
+
+def render_table(columns: Sequence[str], rows: Iterable[Sequence], fmt: str = "csv") -> bytes:
     """Serialize a table to CSV or JSON bytes with deterministic layout."""
-    width = len(columns)
+    rows = list(rows)
     for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"row {i} has {len(row)} cells, expected {width}")
+        if len(row) != len(columns):
+            raise ValueError(f"row {i} has {len(row)} cells, expected {len(columns)}")
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown table format {fmt!r}; use csv or json")
+    runs = [(kinds, list(run)) for kinds, run in groupby(rows, lambda row: tuple(map(type, row)))]
     if fmt == "csv":
-        lines = [",".join(columns)]
-        templates: dict = {}  # tuple of cell types -> row template
-        for row in rows:
-            row = tuple(row)
-            kinds = tuple(map(type, row))
-            if kinds not in templates:
-                templates[kinds] = ",".join(map(_cell_spec, kinds))
-            lines.append(templates[kinds] % row)
-        return ("\n".join(lines) + "\n").encode("ascii")
-    if fmt == "json":
-        payload = {
-            "columns": list(columns),
-            "rows": [[_json_cell(cell) for cell in row] for row in rows],
-        }
-        return (json.dumps(payload, indent=1, sort_keys=True) + "\n").encode("ascii")
-    raise ValueError(f"unknown table format {fmt!r}; use csv or json")
-
-
-def _json_cell(value):
-    spec = _cell_spec(type(value))
-    if spec == "%d":
-        return int(value)
-    if spec == "%.17g":
-        f = float(value)
-        # JSON has no NaN literal; keep the cell parseable everywhere
-        return None if f != f else f
-    return value
+        text = [",".join(columns) + "\n"]
+        for kinds, run in runs:
+            template = ",".join(map(_cell_spec, kinds)) + "\n"
+            text.append(template * len(run) % tuple(chain.from_iterable(run)))
+        return "".join(text).encode("ascii")
+    cells = []
+    for kinds, run in runs:
+        convert = [_JSON_CELL[_cell_spec(kind)] for kind in kinds]
+        cells += [[f(cell) for f, cell in zip(convert, row)] for row in run]
+    payload = {"columns": list(columns), "rows": cells}
+    return (json.dumps(payload, indent=1, sort_keys=True) + "\n").encode("ascii")
 
 
 def atomic_write_bytes(path: Path, data: bytes) -> None:
@@ -102,7 +95,7 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
 
 
 def write_table(
-    path: Path, columns: Sequence[str], rows: Sequence[Sequence], fmt: str = "csv"
+    path: Path, columns: Sequence[str], rows: Iterable[Sequence], fmt: str = "csv"
 ) -> dict:
     """Atomically write one table; returns its manifest entry."""
     data = render_table(columns, rows, fmt)

@@ -214,6 +214,19 @@ def _truncation(name: str, value) -> Truncation:
     return value
 
 
+def _vector(name: str, value, dtype=float) -> np.ndarray:
+    """A non-empty 1-d sequence as an array; a scalar or iterator raises ValueError naming it."""
+    try:
+        array = np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    if array.ndim != 1:
+        raise ValueError(f"{name} must be a 1-d sequence, got {value!r}")
+    if array.size == 0:
+        raise ValueError(f"{name} must not be empty")
+    return array
+
+
 def _solve_at(index: int, delta: float, g: float, solve, *args):
     """solve(*args) at one grid point, a SolverError re-raised naming the point."""
     try:
@@ -237,11 +250,9 @@ def _coupling_axis(
     gc = critical_coupling(delta)
     if ratio_grid is not None:
         with np.errstate(over="ignore"):  # a ratio whose g overflows is refused as not finite
-            name, grid = "ratio_grid", np.asarray(ratio_grid, dtype=float) * gc
+            name, grid = "ratio_grid", _vector("ratio_grid", ratio_grid) * gc
     else:
-        name, grid = "g_grid", np.asarray(g_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-d sequence")
+        name, grid = "g_grid", _vector("g_grid", g_grid)
     if not np.isfinite(grid).all() or (grid < 0).any():
         raise ValueError(f"{name} values must be finite and >= 0")
     if (np.diff(grid) <= 0).any():
@@ -393,11 +404,9 @@ def convergence_sweep(
     tridiagonal solves are single-threaded and release the GIL.
     """
     ref_trunc = _truncation("ref_trunc", ref_trunc)
-    truncs = [_truncation("trunc_list", trunc) for trunc in trunc_list]
+    truncs = [_truncation("trunc_list", tr) for tr in _vector("trunc_list", trunc_list, object)]
     grid, meta = _coupling_axis(delta, g_grid, ratio_grid, ref_trunc)
     sizes = [trunc.n_trunc for trunc in truncs]
-    if not sizes:
-        raise ValueError("trunc_list must not be empty")
     ref = ref_trunc.n_trunc
     if ref < max(sizes):
         raise ValueError(f"ref_trunc {ref} is below the largest of trunc_list, {max(sizes)}")
@@ -456,17 +465,14 @@ def phase_boundary_scan(
     ``n_levels`` (2 * max(pair) + 2), the level count an onset depends on.
     """
     trunc = _truncation("trunc", trunc)
-    deltas = [float(d) for d in delta_grid]
-    if not deltas:
-        raise ValueError("delta_grid must not be empty")
+    deltas = _vector("delta_grid", delta_grid).tolist()
     try:
         for d in deltas:
             critical_coupling(d)
     except ValueError as exc:
         raise ValueError(f"delta_grid: {exc}") from None
-    pairs = sorted(set(_integer("pair_indices", p) for p in pair_indices))
-    if not pairs:
-        raise ValueError("pair_indices must not be empty")
+    pairs = _vector("pair_indices", pair_indices, object)
+    pairs = sorted({_integer("pair_indices", p) for p in pairs})
     if pairs[0] < 0:
         raise ValueError(f"pair_indices must be non-negative, got {pair_indices!r}")
     n_levels = 2 * pairs[-1] + 2
@@ -474,8 +480,8 @@ def phase_boundary_scan(
         raise ValueError(
             f"pair {pairs[-1]} does not fit in {trunc.dim} levels of n_trunc={trunc.n_trunc}"
         )
-    ratios = np.asarray(ratio_grid, dtype=float)
-    if ratios.ndim != 1 or ratios.size < 2:
+    ratios = _vector("ratio_grid", ratio_grid)
+    if ratios.size < 2:
         raise ValueError("ratio_grid must contain at least two points")
     eps_par = check_eps_par(eps_par)
     axes = [_coupling_axis(d, None, ratios, trunc) for d in deltas]

@@ -127,6 +127,19 @@ def test_only_blas_reaches_openblas():
     assert refs == []
 
 
+def test_only_io_formats_cells():
+    # one cell rule and one renderer: no module but io.py holds a 17-digit cell
+    # format, as a %-template, a format() spec or an f-string spec
+    refs = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "io.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and ".17g" in node.value
+    ]
+    assert refs == []
+
+
 def test_only_sweeps_starts_threads():
     # one thread pool per sweep, whatever sets its size: no module but
     # sweeps.py names ThreadPoolExecutor or threading.Thread, by attribute,

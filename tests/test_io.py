@@ -85,6 +85,25 @@ def test_render_csv_cell_types():
                 render_table(("a", "b"), [(1, 0.5), (2, bad)], fmt)
 
 
+def test_render_reads_rows_once():
+    # a one-shot iterable is read once: the width check does not consume it
+    columns, rows = ("a", "b", "c"), [(i, 0.5 * i, "s") for i in range(3)]
+    for fmt in ("csv", "json"):
+        assert render_table(columns, iter(rows), fmt) == render_table(columns, rows, fmt)
+    assert render_table(("a",), ((i,) for i in range(3))) == b"a\n0\n1\n2\n"
+
+
+def test_render_runs_of_row_types():
+    # runs A, A, B, A, A: each run renders in one step, and a run ends where the types change
+    rows = [(1, 0.5, "x"), (3, math.nan, "z"), (2.5, 7, "y"), [4, -0.0, "w"], (5, 2.5, "v")]
+    columns = ("i", "f", "s")
+    expected = "\n".join([",".join(columns)] + [",".join(map(_reference_cell, r)) for r in rows])
+    assert render_table(columns, rows) == (expected + "\n").encode("ascii")
+    payload = {"columns": list(columns), "rows": [list(map(_reference_json, r)) for r in rows]}
+    expected = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    assert render_table(columns, rows, fmt="json") == expected.encode("ascii")
+
+
 def test_render_csv_floats_round_trip():
     values = [0.1, 1.0 / 3.0, 2.0, -0.0, 1e-300, 6.02e23, math.pi, 1e-17, 5e-324]
     for v in values:

@@ -713,6 +713,44 @@ def test_phase_scan_records_the_level_count_it_solves(monkeypatch):
             ),
             "trunc must be a Truncation, got 200$",
         ),
+        (
+            lambda: convergence_sweep(
+                1.0, ratio_grid=[0.5], trunc_list=Truncation(20), ref_trunc=Truncation(40),
+                n_levels=2, workers=1,
+            ),
+            r"trunc_list must be a 1-d sequence, got Truncation\(n_trunc=20\)$",
+        ),
+        (
+            lambda: phase_boundary_scan(
+                [1.0], 0, ratio_grid=[0.1, 0.2], trunc=Truncation(10), workers=1
+            ),
+            "pair_indices must be a 1-d sequence, got 0$",
+        ),
+        (
+            lambda: phase_boundary_scan(
+                1.0, (0,), ratio_grid=[0.1, 0.2], trunc=Truncation(10), workers=1
+            ),
+            "delta_grid must be a 1-d sequence, got 1.0$",
+        ),
+        (
+            lambda: phase_boundary_scan(
+                ["x"], (0,), ratio_grid=[0.1, 0.2], trunc=Truncation(10), workers=1
+            ),
+            "delta_grid: could not convert string to float: 'x'$",
+        ),
+        (
+            lambda: phase_boundary_scan(
+                [1.0], (0,), ratio_grid=(r for r in (0.1, 0.2)), trunc=Truncation(10), workers=1
+            ),
+            "ratio_grid: .*'generator'$",
+        ),
+        (
+            lambda: coupling_sweep(
+                1.0, ratio_grid=(r for r in (0.1, 0.2)), n_levels=2, trunc=Truncation(10),
+                workers=1,
+            ),
+            "ratio_grid: .*'generator'$",
+        ),
     ],
     ids=[
         "coupling_eps_par",
@@ -730,6 +768,12 @@ def test_phase_scan_records_the_level_count_it_solves(monkeypatch):
         "int_candidate_trunc",
         "int_reference_trunc",
         "int_phase_trunc",
+        "scalar_candidate_truncs",
+        "scalar_pair_indices",
+        "scalar_delta_grid",
+        "string_in_delta_grid",
+        "generator_phase_ratio_grid",
+        "generator_coupling_ratio_grid",
     ],
 )
 def test_bad_sweep_arguments_solve_nothing(monkeypatch, sweep, message):
