@@ -161,7 +161,7 @@ _OPTIONS = {
                 "Fock-space cutoff (photon numbers 0 .. n_trunc-1)"),
     "levels": (_parse_int, ("n_levels", int), 8, "number of lowest levels to report"),
     "eps_par": (_parse_float, ("eps_par", float), DEFAULT_EPS_PAR,
-                "irregularity threshold on 1 - |<P>|"),
+                "phase-diagram onset: the first coupling where a member has |<P>| < 1 - EPS_PAR"),
     "truncs": (_parse_int_list, ("trunc_list", lambda ns: [Truncation(n) for n in ns]),
                [200, 400, 1000], "comma-separated candidate truncations"),
     "ref": (_parse_int, ("ref_trunc", Truncation), 2000,
@@ -183,9 +183,8 @@ _OPTIONS = {
 # a wrapper installed on this module is the one called; its options in
 # --help order; {option: default} where it differs from the _OPTIONS one)
 _COMMANDS = {
-    "spectrum": ("coupling_sweep", "delta g g_over_gc n_trunc levels eps_par out format", {}),
-    "parity": ("coupling_sweep",
-               "delta g g_over_gc n_trunc levels eps_par out format workers", {}),
+    "spectrum": ("coupling_sweep", "delta g g_over_gc n_trunc levels out format", {}),
+    "parity": ("coupling_sweep", "delta g g_over_gc n_trunc levels out format workers", {}),
     "wavefunction": ("_wavefunction_job",
                      "delta g g_over_gc n_trunc levels xi_max xi_step out format", {"levels": 2}),
     "converge": ("convergence_sweep", "delta g g_over_gc truncs ref levels out format workers",

@@ -107,7 +107,10 @@ class Truncation:
 
 def critical_coupling(delta: float) -> float:
     """Reference coupling g_c separating the normal and superradiant regimes."""
-    delta = float(delta)
+    try:
+        delta = float(delta)
+    except (TypeError, ValueError):
+        raise ValueError(f"delta must be a number, got {delta!r}") from None
     if not math.isfinite(delta) or delta < 0:
         raise ValueError(f"delta must be finite and >= 0, got {delta!r}")
     return math.sqrt(1.0 + math.sqrt(1.0 + delta * delta / 16.0))

@@ -20,6 +20,7 @@ at which either member turns irregular, is located from these reports by
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,8 @@ def _checked_state(state, trunc: Truncation) -> np.ndarray:
 
 def check_eps_par(eps_par: float) -> float:
     """The irregularity threshold as a float, which must lie in (0, 1)."""
+    if not isinstance(eps_par, numbers.Real):
+        raise ValueError(f"eps_par must be a number, got {eps_par!r}")
     if not 0.0 < eps_par < 1.0:
         raise ValueError(f"eps_par must be in (0, 1), got {eps_par}")
     return float(eps_par)

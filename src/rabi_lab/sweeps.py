@@ -26,7 +26,8 @@ and the indices are listed in the result metadata so callers can escalate.
 Every sweep checks all of its arguments before the first solve, so a bad
 argument raises ValueError without any work done.  A parameter that a
 command-line option feeds has no default of its own: it is required,
-defaults to None, or shares the CLI's default object (``eps_par``).
+defaults to None, or shares the CLI's default object (``eps_par``, which
+only ``phase_boundary_scan`` takes).
 
 Dense points run through ``_dense_point`` (solve, sentinel, pair report);
 ``phase_boundary_scan`` walks each delta's grid with it to find each pair's
@@ -272,20 +273,20 @@ def _coupling_axis(
 
 
 def _dense_point(
-    index: int, delta: float, g: float, trunc: Truncation, n_levels: int, eps_par: float
+    index: int, delta: float, g: float, trunc: Truncation, n_levels: int, **report
 ) -> tuple[list[PairParity], bool]:
-    """Dense solve, tail sentinel and pair report of one point: (pair report, sentinel passed)."""
+    """Solve, tail sentinel and ``pair_report(**report)`` of one point: (pairs, sentinel passed)."""
     params = ModelParams(delta, g)
     spectrum = _solve_at(index, delta, g, solve_point, params, trunc, n_levels)
     ok = tail_population(spectrum.eigenvectors, trunc) < SENTINEL_THRESHOLD
-    return pair_report(spectrum, params, trunc, eps_par), ok
+    return pair_report(spectrum, params, trunc, **report), ok
 
 
 def _coupling_point(
-    delta: float, g_c: float, trunc: Truncation, n_levels: int, eps_par: float, item: tuple
+    delta: float, g_c: float, trunc: Truncation, n_levels: int, item: tuple
 ) -> tuple[list[tuple], Optional[int]]:
     index, g = item
-    pairs, ok = _dense_point(index, delta, g, trunc, n_levels, eps_par)
+    pairs, ok = _dense_point(index, delta, g, trunc, n_levels)
     rows = [
         (
             g,
@@ -314,7 +315,6 @@ def coupling_sweep(
     ratio_grid: Optional[Sequence[float]] = None,
     n_levels: int,
     trunc: Truncation,
-    eps_par: float = DEFAULT_EPS_PAR,
     workers: Optional[int] = None,
 ) -> SweepResult:
     """Parity diagnostics for the lowest levels along a coupling grid.
@@ -328,9 +328,8 @@ def coupling_sweep(
     n_levels = _integer("n_levels", n_levels)
     if n_levels % 2 or not 2 <= n_levels <= trunc.dim:
         raise ValueError(f"n_levels must be even and in [2, {trunc.dim}], got {n_levels}")
-    eps_par = check_eps_par(eps_par)
-    point = partial(_coupling_point, float(delta), meta["g_c"], trunc, n_levels, eps_par)
-    meta.update(kind="coupling_sweep", n_trunc=trunc.n_trunc, n_levels=n_levels, eps_par=eps_par)
+    point = partial(_coupling_point, float(delta), meta["g_c"], trunc, n_levels)
+    meta.update(kind="coupling_sweep", n_trunc=trunc.n_trunc, n_levels=n_levels)
     return _sweep(PARITY_COLUMNS, point, list(enumerate(grid.tolist())), workers, meta)
 
 
@@ -426,7 +425,7 @@ def _phase_point(
     onsets: dict[int, float] = {}
     failing = []
     for i, g in enumerate(grid):
-        report, ok = _dense_point(i, delta, g, trunc, n_levels, eps_par)
+        report, ok = _dense_point(i, delta, g, trunc, n_levels, eps_par=eps_par)
         if not ok:
             failing.append(i)
         if i == 0:

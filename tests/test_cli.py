@@ -564,7 +564,7 @@ def test_phase_diagram_sentinel_failure(tmp_path):
         (["phase-diagram", "--delta-grid", "-1"], "--delta-grid: delta must be finite"),
         (["phase-diagram", "--delta-grid", "2", "--g-over-gc", "0.5"], "error: --g-over-gc must"),
         (
-            ["parity", "--delta", "1", "--g", "0.5", "--n-trunc", "10", "--eps-par", "2"],
+            ["phase-diagram", "--delta-grid", "2", "--n-trunc", "10", "--eps-par", "2"],
             "--eps-par must be in",
         ),
         (
@@ -739,6 +739,77 @@ def test_every_table_option_feeds_its_sweep(command):
         # small ints are cached objects, so identity cannot vouch for one
         shared = own is default and not isinstance(own, int)
         assert own is inspect.Parameter.empty or own is None or shared, key
+
+
+@pytest.mark.parametrize("command", ["spectrum", "parity"])
+def test_parity_tables_take_no_eps_par(tmp_path, capsys, monkeypatch, command):
+    # a parity table prints raw <P>; only phase-diagram's onset applies the
+    # threshold, so the coupling commands refuse it before any solve
+    calls = []
+    monkeypatch.setattr(cli, "coupling_sweep", lambda **kwargs: calls.append(kwargs))
+    out = tmp_path / "never"
+    argv = [command, "--delta", "1", "--g", "0.5", "--eps-par", "0.05", "--out", str(out)]
+    assert main(argv) == 2
+    assert calls == [] and not out.exists()
+    assert "unrecognized arguments: --eps-par 0.05" in capsys.readouterr().err
+
+
+# per command, two values of each of its options; a job runs every option at
+# its first value but one coupling: g when g is under test, else g_over_gc
+_COUPLING_JOB = {
+    "delta": ("1", "2"),
+    "g": ("0.5", "0.7"),
+    "g_over_gc": ("0.5", "0.7"),
+    "n_trunc": ("20", "30"),
+    "levels": ("4", "2"),
+}
+_TWO_VALUES = {
+    "spectrum": _COUPLING_JOB,
+    "parity": _COUPLING_JOB,
+    "wavefunction": {
+        **_COUPLING_JOB, "levels": ("1", "2"), "xi_max": ("8", "10"), "xi_step": ("0.5", "0.25")
+    },
+    "converge": {
+        "delta": ("1", "2"),
+        "g": ("0.5", "0.7"),
+        "g_over_gc": ("0.5:1:0.5", "0.5:1.5:0.5"),
+        "truncs": ("20", "24"),
+        "ref": ("30", "40"),
+        "levels": ("2", "4"),
+    },
+    # delta 50 at N=100 turns pair 0 irregular at g/g_c=1.5 by |<P>| < 0.9, not
+    # by |<P>| < 0.01; N=60 cannot hold the doublet, so no onset
+    "phase-diagram": {
+        "delta_grid": ("50", "40"),
+        "pairs": ("0", "1"),
+        "g_over_gc": ("1.3:1.54:0.02", "1.3:1.54:0.03"),
+        "n_trunc": ("100", "60"),
+        "eps_par": ("0.1", "0.99"),
+    },
+}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_every_option_changes_a_table(tmp_path, command):
+    # an option either shapes what a job writes or is not offered: the
+    # manifest records every option as though it had shaped the run; tables
+    # are the same for any --workers, and out and format pick where and how
+    options = [key for key in cli._defaults(command) if key not in ("out", "format", "workers")]
+    values = _TWO_VALUES[command]
+    assert sorted(values) == sorted(options), "give every option two values to run it at"
+
+    def tables(key, value):
+        other = "g_over_gc" if key == "g" else "g"
+        job = {k: pair[0] for k, pair in values.items() if k != other}
+        job[key] = value
+        out = tmp_path / f"{key}={value}"
+        argv = [command, *(t for k, v in job.items() for t in (cli._flag(k), v)), "--out", str(out)]
+        assert main(argv) in (cli.EXIT_OK, cli.EXIT_SENTINEL), argv
+        return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+
+    for key in options:
+        first, second = (tables(key, value) for value in values[key])
+        assert first and first != second, key
 
 
 def test_version_flag():

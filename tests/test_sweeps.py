@@ -626,16 +626,35 @@ def test_phase_scan_records_the_level_count_it_solves(monkeypatch):
     "sweep, message",
     [
         (
-            lambda: coupling_sweep(
-                2.0, ratio_grid=[0.5], n_levels=2, trunc=Truncation(10), eps_par=2.0, workers=1
+            lambda: phase_boundary_scan(
+                [2.0], (0,), ratio_grid=[0.1, 0.3], trunc=Truncation(10), eps_par=2.0, workers=1
             ),
             "eps_par must be in",
         ),
         (
             lambda: phase_boundary_scan(
-                [2.0], (0,), ratio_grid=[0.1, 0.3], trunc=Truncation(10), eps_par=2.0, workers=1
+                [2.0], (0,), ratio_grid=[0.1, 0.3], trunc=Truncation(10), eps_par="0.1", workers=1
             ),
-            "eps_par must be in",
+            "eps_par must be a number, got '0.1'$",
+        ),
+        (
+            lambda: phase_boundary_scan(
+                [2.0], (0,), ratio_grid=[0.1, 0.3], trunc=Truncation(10), eps_par=None, workers=1
+            ),
+            "eps_par must be a number, got None$",
+        ),
+        (
+            lambda: coupling_sweep(
+                None, ratio_grid=[0.5], n_levels=2, trunc=Truncation(10), workers=1
+            ),
+            "delta must be a number, got None$",
+        ),
+        (
+            lambda: convergence_sweep(
+                None, ratio_grid=[0.5], trunc_list=[Truncation(10)], ref_trunc=Truncation(20),
+                n_levels=2, workers=1,
+            ),
+            "delta must be a number, got None$",
         ),
         (
             lambda: convergence_sweep(
@@ -753,8 +772,11 @@ def test_phase_scan_records_the_level_count_it_solves(monkeypatch):
         ),
     ],
     ids=[
-        "coupling_eps_par",
         "phase_eps_par",
+        "string_phase_eps_par",
+        "none_phase_eps_par",
+        "none_coupling_delta",
+        "none_convergence_delta",
         "levels_beyond_candidate",
         "non_integer_pair_index",
         "non_integer_convergence_levels",
