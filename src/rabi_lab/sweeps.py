@@ -1,21 +1,19 @@
 """Grid sweeps over coupling, truncation and level splitting.
 
-Every sweep binds its shared inputs once with ``functools.partial`` and
-maps that point function over one item per grid point, ``(index, g)``, or
-per delta for the phase scan, ``(delta, g_c, grid)``.  The ``workers``
-argument sets the point threads (0 means the CPUs this process may run
-on, default 1), and the convergence sweep runs on at least the thread
-count of scipy's OpenBLAS (1 when it cannot be read); every sweep runs
-at most one thread per item, and meta ``workers`` records the threads
-that ran.  ``_sweep`` starts the one thread pool of this package.  The
-threads are this process's, so every solve runs LAPACK at this process's
-OpenBLAS thread counts, and results merge back in grid order, identical
-for any thread count.  Tridiagonal solves release the GIL and run side
-by side; dense solves (``scipy.linalg.eigh``) hold it and run one at a
-time.  Bound inputs are data only: a point looks the solve, sentinel and
-parity functions up as module globals when it runs, so a wrapper
-installed on this module (the benchmark tracer, ``perfbench/tracing.py``)
-sees every call.
+Every sweep binds its shared inputs once with ``functools.partial`` and maps
+that point function over one item per grid point, ``(index, g)``, or per
+delta for the phase scan, ``(delta, g_c, grid)``.  Every sweep checks
+``workers`` (0 means the CPUs this process may run on, default 1), and meta
+``workers`` records the threads that ran.  The dense sweeps solve in grid
+order on the calling thread, as ``scipy.linalg.eigh`` holds the GIL; the
+convergence sweep's tridiagonal solves release it, so ``_sweep``'s pool,
+this package's one, runs its points on ``workers`` threads but no fewer than
+scipy's OpenBLAS has (1 when it cannot be read), at most one per point.
+Every solve runs in this process at its OpenBLAS thread counts, and rows
+merge back in grid order, identical for any thread count.  Bound inputs are
+data only: a point looks the solve, sentinel and parity functions up as
+module globals when it runs, so a wrapper installed on this module (the
+benchmark tracer, ``perfbench/tracing.py``) sees every call.
 
 Each point is guarded by a truncation sentinel: the summed photon
 population of every retained state from photon index ceil(0.9 * n_trunc)
@@ -184,15 +182,15 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return os.cpu_count() or 1
 
 
-def _sweep(columns: tuple, point, items: list, workers: Optional[int], meta: dict) -> SweepResult:
-    """Map the point over the items on ``workers`` threads and join the results in grid order.
+def _sweep(columns: tuple, point, items: list, threads: int, meta: dict) -> SweepResult:
+    """Map the point over the items on ``threads`` threads and join the results in grid order.
 
     This is the package's one thread pool, at most one thread per item.
     ``Executor.map`` yields in item order, so a failure raises at the
     lowest failing index, and the items not yet started are cancelled.
     """
     t0 = time.perf_counter()
-    workers = min(resolve_workers(workers), len(items))
+    workers = min(threads, len(items))
     if workers <= 1:  # on this thread, where an interrupt stops the sweep at once
         results = [point(item) for item in items]
     else:
@@ -321,16 +319,17 @@ def coupling_sweep(
 
     Exactly one of ``g_grid`` (absolute) or ``ratio_grid`` (units of g_c)
     selects the axis.  Emits two rows per pair and point in the pinned
-    parity table layout.
+    parity table layout.  ``workers`` is checked; points solve on this thread.
     """
     trunc = _truncation("trunc", trunc)
     grid, meta = _coupling_axis(delta, g_grid, ratio_grid, trunc)
     n_levels = _integer("n_levels", n_levels)
     if n_levels % 2 or not 2 <= n_levels <= trunc.dim:
         raise ValueError(f"n_levels must be even and in [2, {trunc.dim}], got {n_levels}")
+    resolve_workers(workers)
     point = partial(_coupling_point, float(delta), meta["g_c"], trunc, n_levels)
     meta.update(kind="coupling_sweep", n_trunc=trunc.n_trunc, n_levels=n_levels)
-    return _sweep(PARITY_COLUMNS, point, list(enumerate(grid.tolist())), workers, meta)
+    return _sweep(PARITY_COLUMNS, point, list(enumerate(grid.tolist())), 1, meta)
 
 
 def merged_sector_levels(
@@ -455,11 +454,11 @@ def phase_boundary_scan(
 ) -> SweepResult:
     """Irregularity onset per (delta, pair) over a shared g/g_c grid.
 
-    Each delta walks the grid upward and stops once every requested pair
-    has turned irregular.  Rows where the pair is already degenerate at
-    the smallest coupling of the grid carry a degenerate flag: their
-    per-state parities are solver-arbitrary from the start and the onset
-    column is not a boundary in any physical sense there.  Visited points
+    Each delta in turn walks the grid upward on this thread (``workers`` is
+    only checked) until every requested pair has turned irregular.  Rows where
+    the pair is already degenerate at the smallest coupling of the grid carry
+    a degenerate flag: their per-state parities are solver-arbitrary from the
+    start and the onset column is no physical boundary there.  Visited points
     that fail the sentinel are listed per delta in the metadata, beside
     ``n_levels`` (2 * max(pair) + 2), the level count an onset depends on.
     """
@@ -483,6 +482,7 @@ def phase_boundary_scan(
     if ratios.size < 2:
         raise ValueError("ratio_grid must contain at least two points")
     eps_par = check_eps_par(eps_par)
+    resolve_workers(workers)
     axes = [_coupling_axis(d, None, ratios, trunc) for d in deltas]
     items = [(axis["delta"], axis["g_c"], grid.tolist()) for grid, axis in axes]
     meta = {
@@ -497,4 +497,4 @@ def phase_boundary_scan(
         "n_levels": n_levels,
     }
     point = partial(_phase_point, pairs, eps_par, trunc, n_levels)
-    return _sweep(PHASE_COLUMNS, point, items, workers, meta)
+    return _sweep(PHASE_COLUMNS, point, items, 1, meta)

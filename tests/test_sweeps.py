@@ -3,6 +3,7 @@
 import os
 import re
 import sys
+import threading
 import time
 
 import numpy as np
@@ -400,11 +401,14 @@ def test_coupling_sweep_grid_argument_exclusivity():
     ids=["coupling", "convergence", "phase"],
 )
 def test_sweep_worker_count_does_not_change_bytes(sweep, items, failing):
-    # a request for more threads than items runs, and records, one per item;
-    # a convergence sweep runs on no fewer threads than scipy's OpenBLAS has
+    # a convergence sweep runs on no fewer threads than scipy's OpenBLAS has,
+    # and a request for more threads than items runs, and records, one per
+    # item; a dense sweep runs, and records, one thread at any request
     seq, *others = sweep(1), sweep(2), sweep(4), sweep(8)
-    floor = _blas.lapack_threads() if seq.meta["kind"] == "convergence_sweep" else 1
-    expected = [min(max(workers, floor), items) for workers in (1, 2, 4, 8)]
+    if seq.meta["kind"] == "convergence_sweep":
+        expected = [min(max(w, _blas.lapack_threads()), items) for w in (1, 2, 4, 8)]
+    else:
+        expected = [1, 1, 1, 1]
     assert [res.meta["workers"] for res in (seq, *others)] == expected
     for res in others:
         assert repr(seq.rows) == repr(res.rows)  # a nan cell never compares equal, its repr does
@@ -416,7 +420,7 @@ def test_sweep_worker_count_does_not_change_bytes(sweep, items, failing):
 def test_calling_process_shares_a_mixed_window_without_changing_bytes(monkeypatch):
     # g/g_c 1.40-1.60 at delta=50 holds irregular doublets, so a schedule
     # that changed any solve would show in the parity columns; the points
-    # run on this process's threads, so a module-global wrapper sees all 21
+    # run in this process, so a module-global wrapper sees all 21
     kwargs = dict(ratio_grid=grid_values(1.40, 1.60, 0.01), n_levels=8, trunc=Truncation(200))
     seq = coupling_sweep(50.0, workers=1, **kwargs)
     solve = sweeps.solve_point
@@ -429,18 +433,51 @@ def test_calling_process_shares_a_mixed_window_without_changing_bytes(monkeypatc
 
         monkeypatch.setattr(sweeps, "solve_point", counted)
         par = coupling_sweep(50.0, workers=workers, **kwargs)
-        assert par.meta["workers"] == workers
+        assert par.meta["workers"] == 1
         assert sorted(here) == [row[0] for row in seq.rows[::8]]
         assert render_table(seq.columns, seq.rows) == render_table(par.columns, par.rows)
     assert any(abs(row[5]) < 1 - 0.1 for row in seq.rows)  # the window is mixed
 
 
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda workers: coupling_sweep(
+            1.0, ratio_grid=[0.0, 0.4, 0.8], n_levels=4, trunc=Truncation(50), workers=workers
+        ),
+        lambda workers: phase_boundary_scan(
+            [1.0, 2.0], (0, 1), ratio_grid=[0.5, 1.5, 3.0], trunc=Truncation(20), workers=workers
+        ),
+    ],
+    ids=["coupling", "phase"],
+)
+def test_dense_sweeps_solve_on_the_calling_thread(monkeypatch, sweep):
+    # dense solves hold the GIL, so a dense sweep checks workers and then
+    # solves every point here, one at a time, with the bytes of one worker
+    seq = sweep(1)
+    solve, caller = sweeps.solve_point, threading.get_ident()
+    for workers in (0, 2, 8):
+        threads = []
+
+        def recorded(*args):
+            threads.append(threading.get_ident())
+            return solve(*args)
+
+        monkeypatch.setattr(sweeps, "solve_point", recorded)
+        res = sweep(workers)
+        assert threads and set(threads) == {caller}
+        assert res.meta["workers"] == 1
+        assert render_table(seq.columns, seq.rows) == render_table(res.columns, res.rows)
+        assert seq.meta["sentinel_failures"] == res.meta["sentinel_failures"]
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_sweep_raises_the_lowest_failing_grid_index(monkeypatch, workers):
-    # points 1 and 2 fail mid-sweep; at more than one worker point 2 fails
-    # first on another thread, as point 1 waits before it fails, and
-    # index 1 must still be the one reported
-    solve = sweeps.solve_point
+    # points 1 and 2 fail mid-sweep; on more than one thread (any workers
+    # where scipy's OpenBLAS has two) point 2 fails first on another
+    # thread, as point 1 waits before it fails, and index 1 must still be
+    # the one reported
+    solve = sweeps.merged_sector_levels
 
     def failing_past_first_point(params, *args):
         if params.g == 1.0:
@@ -449,10 +486,11 @@ def test_sweep_raises_the_lowest_failing_grid_index(monkeypatch, workers):
             raise SolverError("residual check failed")
         return solve(params, *args)
 
-    monkeypatch.setattr(sweeps, "solve_point", failing_past_first_point)
+    monkeypatch.setattr(sweeps, "merged_sector_levels", failing_past_first_point)
     with pytest.raises(SolverError, match=r"^grid index 1 \(delta=1\.0, g=1\.0\): residual"):
-        coupling_sweep(
-            1.0, g_grid=[0.5, 1.0, 1.5], n_levels=2, trunc=Truncation(10), workers=workers
+        convergence_sweep(
+            1.0, g_grid=[0.5, 1.0, 1.5], trunc_list=(Truncation(10),), ref_trunc=Truncation(10),
+            n_levels=2, workers=workers,
         )
 
 
@@ -704,6 +742,18 @@ def test_phase_scan_records_the_level_count_it_solves(monkeypatch):
         ),
         (
             lambda: phase_boundary_scan(
+                [1.0], (0,), ratio_grid=[0.1, 0.2], trunc=Truncation(10), workers=-1
+            ),
+            "workers must be >= 0, got -1$",
+        ),
+        (
+            lambda: phase_boundary_scan(
+                [1.0], (0,), ratio_grid=[0.1, 0.2], trunc=Truncation(10), workers=2.7
+            ),
+            "workers must be an integer, got 2.7$",
+        ),
+        (
+            lambda: phase_boundary_scan(
                 [1.0], [], ratio_grid=[0.1, 0.2], trunc=Truncation(10), workers=1
             ),
             "pair_indices must not be empty$",
@@ -785,6 +835,8 @@ def test_phase_scan_records_the_level_count_it_solves(monkeypatch):
         "non_integer_point_levels",
         "non_integer_sector_levels",
         "non_integer_workers",
+        "negative_phase_workers",
+        "non_integer_phase_workers",
         "no_pairs",
         "int_coupling_trunc",
         "int_candidate_trunc",
