@@ -35,6 +35,7 @@ failure (results are still written, flagged).
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 import time
@@ -47,7 +48,7 @@ import numpy as np
 from . import __version__
 from ._blas import _blas_environment, _package_openblas, _set_openblas_threads
 from .eigensolve import DEGENERACY_RTOL, NORM_TOL, ORTHO_TOL, RESIDUAL_RTOL, SolverError
-from .io import write_manifest, write_table
+from .io import ColumnMemo, write_manifest, write_table
 from .model import ModelParams, Truncation, shifted_energy
 from .parity import DEFAULT_EPS_PAR, parity_expectation
 from .position import DEFAULT_STEP, PositionGrid, position_wavefunction, symmetry_defect
@@ -219,7 +220,9 @@ def _in_option_terms(message: str, cfg: ResolvedConfig) -> str:
     return re.sub(rf"\b({'|'.join(names)})\b", lambda m: names[m[1]], message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``parse_config`` call and reused."""
     parser = argparse.ArgumentParser(
         prog="rabi-lab",
         description="Exact diagonalization and parity diagnostics for the quantum Rabi model",
@@ -319,10 +322,10 @@ def _validate(cfg: ResolvedConfig) -> None:
 
 def _finish(cfg: ResolvedConfig, extra: dict, failures: list, tables: Iterable, t0: float) -> int:
     out_dir = Path(cfg.values["out"])  # made by its first write
-    fmt = cfg.values["format"]
+    fmt, memo = cfg.values["format"], ColumnMemo()
     files = [
-        write_table(out_dir / f"{name}.{fmt}", columns, rows, fmt)
-        for name, columns, rows in tables
+        write_table(out_dir / f"{name}.{fmt}", columns, data, fmt, memo=memo)
+        for name, columns, data in tables
     ]
     manifest = {
         "tool": {"name": "rabi-lab", "version": __version__},
@@ -367,7 +370,8 @@ def _wavefunction_job(
     """Position-space table of each lowest level at one coupling, then their summary.
 
     Returns (manifest entries, sentinel failures, tables made one level at
-    a time as they are written); no tables after a failed sentinel.
+    a time as they are written, each by column, every level table with the
+    one ``xi`` list); no tables after a failed sentinel.
     """
     (g,), _ = _coupling_axis(delta, g_grid, ratio_grid, trunc)
     params = ModelParams(delta, float(g))
@@ -381,13 +385,13 @@ def _wavefunction_job(
         xi = grid.xi.tolist()
         summary = []
         for level, wf in enumerate(wfs):
-            rows = list(zip(xi, wf.psi_plus.tolist(), wf.psi_minus.tolist()))
-            yield f"wavefunction_level{level}", ("xi", "psi_plus", "psi_minus"), rows
+            data = xi, wf.psi_plus.tolist(), wf.psi_minus.tolist()
+            yield f"wavefunction_level{level}", ("xi", "psi_plus", "psi_minus"), data
             energy = float(spectrum.eigenvalues[level])
             parity = parity_expectation(spectrum.eigenvectors[:, level], trunc)
             defect, norm = symmetry_defect(wf), wf.quadrature_norm()
             summary.append((level, energy, shifted_energy(energy, params), parity, defect, norm))
-        yield "wavefunction_summary", _SUMMARY_COLUMNS, summary
+        yield "wavefunction_summary", _SUMMARY_COLUMNS, list(zip(*summary))
 
     grid_meta = {"xi_max": grid.xi_max, "step": grid.step, "npoints": grid.npoints}
     return {"grid": grid_meta}, [], tables()
@@ -397,7 +401,8 @@ def run_job(cfg: ResolvedConfig) -> int:
     """Execute one resolved job; returns the process exit code.
 
     The job's one call is built from the two tables.  A sweep result is
-    one table named after the command, its meta the manifest's ``sweep``.
+    one table named after the command, its rows turned into columns once,
+    its meta the manifest's ``sweep``.
     """
     t0 = time.perf_counter()
     kwargs = {}
@@ -411,7 +416,7 @@ def run_job(cfg: ResolvedConfig) -> int:
                 raise ValueError(f"{parameter}: {exc}") from None
     result = globals()[_COMMANDS[cfg.command][0]](**kwargs)
     if isinstance(result, SweepResult):
-        table = (cfg.command.replace("-", "_"), result.columns, result.rows)
+        table = (cfg.command.replace("-", "_"), result.columns, list(zip(*result.rows)))
         result = {"sweep": result.meta}, result.meta["sentinel_failures"], [table]
     return _finish(cfg, *result, t0)
 

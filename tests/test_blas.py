@@ -137,7 +137,7 @@ def test_sweep_bytes_do_not_depend_on_workers_after_a_runtime_lapack_setting(bla
             50, ratio_grid=sweeps.grid_values(1.40, 1.60, 0.01), n_levels=8,
             trunc=Truncation(200), workers=workers,
         )
-        tables.append(render_table(result.columns, result.rows))
+        tables.append(render_table(result.columns, zip(*result.rows)))
     assert tables[0] == tables[1] == tables[2]
 
 
@@ -195,7 +195,7 @@ def test_convergence_bytes_do_not_depend_on_lapack_threads(blas, monkeypatch, gr
                 (g0, n0), (g1, n1) = solved[:2]
                 assert g0 != g1 and n0 == n1 == grid["ref_trunc"].n_trunc
             assert result.meta["workers"] == min(max(workers, count), len(grid["ratio_grid"]))
-            runs[count, workers] = (render_table(result.columns, result.rows),
+            runs[count, workers] = (render_table(result.columns, zip(*result.rows)),
                                     result.meta["sentinel_failures"])
     assert all(run == runs[1, 1] for run in runs.values())
     assert bool(runs[1, 1][1]) == (grid is CONVERGENCE_GRIDS["sentinel"])

@@ -3,6 +3,9 @@
 import hashlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +16,18 @@ from rabi_lab import position
 from rabi_lab.cli import ConfigError, GridSpec, main, parse_config
 from rabi_lab.eigensolve import SolverError
 from rabi_lab.io import render_table
-from rabi_lab.model import ModelParams, Truncation, critical_coupling
-from rabi_lab.position import PositionGrid
-from rabi_lab.sweeps import PARITY_COLUMNS, solve_point
+from rabi_lab.model import ModelParams, Truncation, critical_coupling, shifted_energy
+from rabi_lab.parity import parity_expectation
+from rabi_lab.position import PositionGrid, TwoComponentWavefunction, symmetry_defect
+from rabi_lab.sweeps import (
+    PARITY_COLUMNS,
+    convergence_sweep,
+    coupling_sweep,
+    grid_values,
+    phase_boundary_scan,
+    solve_point,
+)
+from test_io import _reference_table
 
 
 def _read_csv(path):
@@ -308,7 +320,7 @@ def test_csv_tokens_round_trip_exactly(tmp_path):
     for row in rows:
         for token in row:
             value = float(token) if ("." in token or "e" in token) else int(token)
-            assert render_table(("x",), [(value,)]) == f"x\n{token}\n".encode("ascii")
+            assert render_table(("x",), [[value]]) == f"x\n{token}\n".encode("ascii")
 
 
 def _replay(out1, out2):
@@ -413,6 +425,29 @@ def test_wavefunction_outputs(tmp_path):
         assert abs(float(row[5]) - 1.0) <= 1e-6
 
 
+def _wavefunction_tables(delta, ratio, n_trunc, levels, hermite_basis):
+    """{table name: (columns, rows)} of a wavefunction job, built from the library's parts.
+
+    Each level is the per-state contraction v[0::2] @ table, v[1::2] @ table
+    of one Hermite table on the default grid.
+    """
+    params, trunc = ModelParams(delta, ratio * critical_coupling(delta)), Truncation(n_trunc)
+    grid = PositionGrid.default_for(params.g)
+    table = hermite_basis(grid, n_trunc)
+    spectrum = solve_point(params, trunc, levels)
+    tables, summary = {}, []
+    for level in range(levels):
+        v = spectrum.eigenvectors[:, level]
+        wf = TwoComponentWavefunction(grid, v[0::2] @ table, v[1::2] @ table)
+        rows = list(zip(grid.xi.tolist(), wf.psi_plus.tolist(), wf.psi_minus.tolist()))
+        tables[f"wavefunction_level{level}"] = ("xi", "psi_plus", "psi_minus"), rows
+        energy = float(spectrum.eigenvalues[level])
+        summary.append((level, energy, shifted_energy(energy, params),
+                        parity_expectation(v, trunc), symmetry_defect(wf), wf.quadrature_norm()))
+    tables["wavefunction_summary"] = cli._SUMMARY_COLUMNS, summary
+    return tables
+
+
 def test_wavefunction_builds_one_hermite_table(tmp_path, monkeypatch):
     # one table serves every level, and each level's file is the per-state
     # contraction v[0::2] @ table, v[1::2] @ table rendered cell by cell
@@ -428,19 +463,61 @@ def test_wavefunction_builds_one_hermite_table(tmp_path, monkeypatch):
     argv = ["wavefunction", "--delta", "1", "--g-over-gc", "1.5", "--n-trunc", "80"]
     assert main([*argv, "--levels", "8", "--out", str(out)]) == 0
     assert calls == [80]
-    params = ModelParams(1.0, 1.5 * critical_coupling(1.0))
-    grid = PositionGrid.default_for(params.g)
-    table = original(grid, 80)
-    vectors = solve_point(params, Truncation(80), 8).eigenvectors
-    for level in range(8):
-        v = vectors[:, level]
-        columns = (grid.xi, v[0::2] @ table, v[1::2] @ table)
-        lines = ["xi,psi_plus,psi_minus"]
-        lines += [
-            ",".join(format(float(c[i]), ".17g") for c in columns) for i in range(grid.npoints)
-        ]
-        expected = "\n".join(lines) + "\n"
-        assert (out / f"wavefunction_level{level}.csv").read_text(encoding="ascii") == expected
+    for name, (columns, rows) in _wavefunction_tables(1.0, 1.5, 80, 8, original).items():
+        assert (out / f"{name}.csv").read_bytes() == _reference_table(columns, rows), name
+
+
+def _sweep_table(result):
+    return result.columns, result.rows
+
+
+# per command: its arguments, and {table name: (columns, rows)} built by the
+# library calls the command makes, rows as the library returns them
+_PER_CELL_JOBS = {
+    "spectrum": (
+        "--delta 1 --g-over-gc 1.3 --n-trunc 60 --levels 4",
+        lambda: {"spectrum": _sweep_table(coupling_sweep(
+            1.0, ratio_grid=[1.3], n_levels=4, trunc=Truncation(60)))},
+    ),
+    "parity": (
+        "--delta 50 --g-over-gc 1.40:1.50:0.02 --n-trunc 100 --levels 8",
+        lambda: {"parity": _sweep_table(coupling_sweep(
+            50.0, ratio_grid=grid_values(1.40, 1.50, 0.02), n_levels=8, trunc=Truncation(100)))},
+    ),
+    "wavefunction": (
+        "--delta 1 --g-over-gc 1.5 --n-trunc 60 --levels 3",
+        lambda: _wavefunction_tables(1.0, 1.5, 60, 3, position.hermite_basis),
+    ),
+    "converge": (
+        "--delta 1 --g-over-gc 0:0.5:0.25 --truncs 20,40 --ref 80 --levels 2",
+        lambda: {"converge": _sweep_table(convergence_sweep(
+            1.0, ratio_grid=grid_values(0.0, 0.5, 0.25), trunc_list=[Truncation(20), Truncation(40)],
+            ref_trunc=Truncation(80), n_levels=2))},
+    ),
+    # at delta 50 and N=100 pair 1 turns irregular and pair 0 never does: a NaN onset
+    "phase-diagram": (
+        "--delta-grid 50 --pairs 0,1 --g-over-gc 1.3:1.54:0.02 --n-trunc 100 --eps-par 0.1",
+        lambda: {"phase_diagram": _sweep_table(phase_boundary_scan(
+            [50.0], [0, 1], ratio_grid=grid_values(1.3, 1.54, 0.02), eps_par=0.1,
+            trunc=Truncation(100)))},
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", list(_PER_CELL_JOBS))
+def test_every_table_is_its_per_cell_rendering(tmp_path, command, fmt):
+    # whatever shape a job hands its tables over in, each file holds the
+    # library's rows rendered row by row and cell by cell
+    args, expected = _PER_CELL_JOBS[command]
+    out = tmp_path / "out"
+    assert main([command, *args.split(), "--format", fmt, "--out", str(out)]) == 0
+    tables = expected()
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [f"{name}.{fmt}" for name in tables] + ["manifest.json"]
+    )
+    for name, (columns, rows) in tables.items():
+        assert (out / f"{name}.{fmt}").read_bytes() == _reference_table(columns, rows, fmt), name
 
 
 def test_converge_command(tmp_path):
@@ -814,3 +891,20 @@ def test_every_option_changes_a_table(tmp_path, command):
 
 def test_version_flag():
     assert main(["--version"]) == 0
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys):
+    # importing the CLI builds no parser; the first parse builds the one
+    # every later parse reuses, whatever it parses or rejects
+    code = "import rabi_lab.cli as cli; print(cli._build_parser.cache_info().currsize)"
+    src = str(Path(cli.__file__).parents[1])
+    assert subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True).stdout == "0\n"
+    cli._build_parser.cache_clear()
+    job = ["spectrum", "--delta", "1", "--g", "0.5", "--n-trunc", "20", "--levels", "2"]
+    assert main(["--version"]) == 0
+    assert main(["spectrum", "--help"]) == 0
+    assert main([*job, "--levels", "x", "--out", str(tmp_path / "never")]) == 2
+    assert main([*job, "--out", str(tmp_path / "o")]) == 0
+    assert cli._build_parser.cache_info()[1:] == (1, None, 1)  # misses, maxsize, currsize
+    capsys.readouterr()

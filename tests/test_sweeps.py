@@ -370,6 +370,11 @@ def test_coupling_sweep_grid_argument_exclusivity():
             sweep(1.0, g_grid=[0.4, 0.2], **kwargs)
 
 
+def _bytes(result) -> bytes:
+    """A sweep's table as the CSV bytes a job writes."""
+    return render_table(result.columns, zip(*result.rows))
+
+
 @pytest.mark.parametrize(
     "sweep, items, failing",
     [
@@ -412,7 +417,7 @@ def test_sweep_worker_count_does_not_change_bytes(sweep, items, failing):
     assert [res.meta["workers"] for res in (seq, *others)] == expected
     for res in others:
         assert repr(seq.rows) == repr(res.rows)  # a nan cell never compares equal, its repr does
-        assert render_table(seq.columns, seq.rows) == render_table(res.columns, res.rows)
+        assert _bytes(seq) == _bytes(res)
         assert seq.meta["sentinel_failures"] == res.meta["sentinel_failures"]
     assert bool(seq.meta["sentinel_failures"]) == failing
 
@@ -435,7 +440,7 @@ def test_calling_process_shares_a_mixed_window_without_changing_bytes(monkeypatc
         par = coupling_sweep(50.0, workers=workers, **kwargs)
         assert par.meta["workers"] == 1
         assert sorted(here) == [row[0] for row in seq.rows[::8]]
-        assert render_table(seq.columns, seq.rows) == render_table(par.columns, par.rows)
+        assert _bytes(seq) == _bytes(par)
     assert any(abs(row[5]) < 1 - 0.1 for row in seq.rows)  # the window is mixed
 
 
@@ -467,7 +472,7 @@ def test_dense_sweeps_solve_on_the_calling_thread(monkeypatch, sweep):
         res = sweep(workers)
         assert threads and set(threads) == {caller}
         assert res.meta["workers"] == 1
-        assert render_table(seq.columns, seq.rows) == render_table(res.columns, res.rows)
+        assert _bytes(seq) == _bytes(res)
         assert seq.meta["sentinel_failures"] == res.meta["sentinel_failures"]
 
 
